@@ -7,9 +7,9 @@ pricing batches and the resilient layer serializes them; coalesced, the
 requests meet in the micro-batch window, their identical pair content
 dedupes to one shared work item, and the remainder fuses into batches
 the backend sees once.  The backend here pays a small fixed latency per
-dispatch — the shape of any out-of-process what-if optimizer (the
-sharded pool, a real server's HCT) — so dispatch *economy* is what the
-wall clock measures.
+dispatch — the shape of any out-of-process what-if optimizer (a real
+server's HCT) — so dispatch *economy* is what the wall clock
+measures.
 
 Gates:
 
@@ -67,13 +67,10 @@ class _RemoteKernel:
     round trip) plus a per-pair what-if cost — pricing pairs is the
     expensive unit the whole paper economizes — and the backend admits
     one dispatch at a time (a what-if optimizer is one server
-    connection; the shard pool is one dispatcher).  Numbers
-    stay bit-identical to the bare kernel; only the batch entry points
+    connection).  Numbers stay bit-identical to the bare kernel; only the batch entry points
     pay the latency (scalar and maintenance lookups are facade-cached
     and not what the coalescer economizes).
     """
-
-    parallel_safe = True
 
     def __init__(self, schema) -> None:
         self._kernel = VectorizedCostSource(schema)

@@ -37,7 +37,6 @@ from repro.core.sweep import (
 )
 from repro.cost.kernel import VectorizedCostSource
 from repro.cost.model import CostModel
-from repro.cost.shard import ShardedCostSource
 from repro.cost.whatif import (
     AnalyticalCostSource,
     CostSource,
@@ -97,7 +96,7 @@ ALGORITHMS = (
     "h5",
 )
 
-COST_KERNELS = ("scalar", "vectorized", "sharded")
+COST_KERNELS = ("scalar", "vectorized")
 
 # Backwards-compatible aliases (pre-service private names).
 _ALGORITHMS = ALGORITHMS
@@ -143,9 +142,6 @@ class KernelStacks:
         analytic source itself (infallible, no fallbacks needed).
     policy:
         Default retry/breaker policy for the resilient wrappers.
-    shards:
-        Worker-process count for the ``"sharded"`` kernel flavour
-        (``None`` = machine default); ignored by the other flavours.
     facade_source_wrapper:
         Optional hook called as ``wrapper(resilient, kernel)`` when a
         stack is first built; whatever it returns becomes the source
@@ -166,14 +162,12 @@ class KernelStacks:
         *,
         cost_source: CostSource | None = None,
         policy: ResiliencePolicy | None = None,
-        shards: int | None = None,
         facade_source_wrapper=None,
         whatif_cache_entries: int | None = None,
     ) -> None:
         self._schema = schema
         self._cost_source = cost_source
         self._policy = policy
-        self._shards = shards
         self._facade_source_wrapper = facade_source_wrapper
         self._whatif_cache_entries = whatif_cache_entries
         self._analytic: dict[str, CostSource] = {}
@@ -192,10 +186,6 @@ class KernelStacks:
         if source is None:
             if kernel == "vectorized":
                 source = VectorizedCostSource(self._schema)
-            elif kernel == "sharded":
-                source = ShardedCostSource(
-                    self._schema, shards=self._shards
-                )
             else:
                 source = AnalyticalCostSource(CostModel(self._schema))
             self._analytic[kernel] = source
@@ -249,41 +239,9 @@ class KernelStacks:
             resilient.policy = policy
 
     def vectorized_statistics(self):
-        """``KernelStatistics`` of the compiled kernel, if built yet.
-
-        When only the sharded flavour is built, its in-process kernel's
-        statistics are reported instead (same counter shape)."""
+        """``KernelStatistics`` of the compiled kernel, if built yet."""
         source = self._analytic.get("vectorized")
-        if source is not None:
-            return source.statistics
-        sharded = self._analytic.get("sharded")
-        return None if sharded is None else sharded.kernel_statistics
-
-    def shard_source(self) -> ShardedCostSource | None:
-        """The sharded backend, if that flavour was built yet."""
-        source = self._analytic.get("sharded")
-        return source if isinstance(source, ShardedCostSource) else None
-
-    def shard_statistics(self):
-        """``ShardStatistics`` of the sharded backend, if built yet."""
-        source = self.shard_source()
         return None if source is None else source.statistics
-
-    def reset_shard_pool(self) -> None:
-        """Drop the shard worker pool (watchdog hook); it rebuilds
-        lazily on the next large batch."""
-        source = self.shard_source()
-        if source is not None:
-            source.reset_pool()
-
-    def close(self) -> None:
-        """Release process-level resources (the shard worker pool).
-
-        The stacks stay usable — a later call lazily rebuilds the
-        pool — so this is safe to call from service drain/close."""
-        source = self.shard_source()
-        if source is not None:
-            source.close()
 
 
 def run_selection(
@@ -314,7 +272,6 @@ def run_selection(
         )
     deadline = deadline or Deadline.none()
     evaluation = evaluation or EvaluationConfig()
-    parallelism = evaluation.effective_parallelism(optimizer)
     if algorithm in ("extend", "extend+swap"):
         result = ExtendAlgorithm(
             optimizer,
@@ -334,7 +291,6 @@ def run_selection(
                 candidates,
                 telemetry=telemetry,
                 deadline=deadline,
-                parallelism=parallelism,
             )
         return result
 
@@ -373,22 +329,12 @@ def run_selection(
     }
     if algorithm in heuristics:
         return heuristics[algorithm](
-            optimizer,
-            telemetry=telemetry,
-            parallelism=parallelism,
+            optimizer, telemetry=telemetry
         ).select(workload, budget, candidates, deadline=deadline)
-    if algorithm == "h4":
-        return PerformanceHeuristic(
-            optimizer,
-            telemetry=telemetry,
-            parallelism=parallelism,
-        ).select(workload, budget, candidates, deadline=deadline)
-    assert algorithm == "h4+skyline"
     return PerformanceHeuristic(
         optimizer,
-        use_skyline=True,
+        use_skyline=algorithm == "h4+skyline",
         telemetry=telemetry,
-        parallelism=parallelism,
     ).select(workload, budget, candidates, deadline=deadline)
 
 
@@ -487,16 +433,10 @@ class IndexAdvisor:
         ``recommend(resilience=...)``.
     cost_kernel:
         Default analytic backend flavour: ``"vectorized"`` (the
-        compiled batch kernel of :mod:`repro.cost.kernel`, default),
-        ``"scalar"`` (the pure-Python :class:`CostModel`), or
-        ``"sharded"`` (the process-pool backend of
-        :mod:`repro.cost.shard` for whole-enterprise sweeps).  All
-        flavours price every pair within 1e-9 relative tolerance of
-        each other (sharded is bit-identical to vectorized);
+        compiled batch kernel of :mod:`repro.cost.kernel`, default)
+        or ``"scalar"`` (the pure-Python :class:`CostModel`).  Both
+        price every pair within 1e-9 relative tolerance of each other;
         overridable per call via ``recommend(cost_kernel=...)``.
-    shards:
-        Worker-process count for the sharded kernel (``None`` =
-        machine default, clamped to [2, 8]); ignored otherwise.
     """
 
     def __init__(
@@ -507,7 +447,6 @@ class IndexAdvisor:
         cost_source: CostSource | None = None,
         resilience: ResiliencePolicy | None = None,
         cost_kernel: str = "vectorized",
-        shards: int | None = None,
     ) -> None:
         if cost_kernel not in _COST_KERNELS:
             raise ExperimentError(
@@ -520,7 +459,6 @@ class IndexAdvisor:
             schema,
             cost_source=cost_source,
             policy=resilience,
-            shards=shards,
         )
         self._resilient, self._optimizer = self._kernel_stacks.stack(
             cost_kernel
@@ -551,11 +489,6 @@ class IndexAdvisor:
     def kernel_stacks(self) -> KernelStacks:
         """The per-kernel cost stacks (exposed for accounting)."""
         return self._kernel_stacks
-
-    def close(self) -> None:
-        """Release process-level resources (the shard worker pool, if
-        the sharded kernel was used).  The advisor stays usable."""
-        self._kernel_stacks.close()
 
     # ------------------------------------------------------------------
     # Input coercion
@@ -601,8 +534,6 @@ class IndexAdvisor:
         deadline_s: float | None = None,
         resilience: ResiliencePolicy | None = None,
         solver_time_limit: float = 120.0,
-        parallelism: int = 1,
-        naive_evaluation: bool = False,
         cost_kernel: str | None = None,
         compression_share: float | None = None,
         merge_duplicates: bool = False,
@@ -637,22 +568,11 @@ class IndexAdvisor:
             120.0); a tighter ``deadline_s`` caps it further.  When the
             solver fails or times out without an incumbent, the advisor
             falls back to Extend and tags the result ``degraded``.
-        parallelism:
-            Worker threads for candidate evaluation and pricing
-            (``1`` = serial, the default).  Recommendations are
-            identical at any setting; the engine silently falls back to
-            serial when the cost backend is not ``parallel_safe`` (e.g.
-            under seeded fault injection).
-        naive_evaluation:
-            Differential-testing escape hatch: restore the pre-engine
-            exhaustive candidate re-scan (eager pricing, full
-            re-evaluation per round).  Selects the identical steps as
-            the incremental engine, just with far more what-if calls.
         cost_kernel:
-            Analytic backend flavour for this call (``"scalar"``,
-            ``"vectorized"``, or ``"sharded"``); ``None`` (default)
-            uses the advisor's constructor default.  Each flavour keeps
-            its own what-if cache and call counters.
+            Analytic backend flavour for this call (``"scalar"`` or
+            ``"vectorized"``); ``None`` (default) uses the advisor's
+            constructor default.  Each flavour keeps its own what-if
+            cache and call counters.
         compression_share / merge_duplicates:
             The :func:`~repro.workload.compression.pricing_prepass`
             knobs: merge content-duplicate templates (lossless for the
@@ -689,10 +609,6 @@ class IndexAdvisor:
             )
         deadline = Deadline(deadline_s)
         telemetry = self._telemetry
-
-        evaluation = EvaluationConfig(
-            naive=naive_evaluation, parallelism=parallelism
-        )
         stats_before = optimizer.statistics.copy()
         with telemetry.tracer.span(
             "advisor.recommend", algorithm=algorithm
@@ -706,7 +622,6 @@ class IndexAdvisor:
                 candidate_width=candidate_width,
                 deadline=deadline,
                 solver_time_limit=solver_time_limit,
-                evaluation=evaluation,
             )
             run_statistics = optimizer.statistics.since(
                 stats_before
@@ -727,11 +642,6 @@ class IndexAdvisor:
             )
             if kernel_statistics is not None:
                 telemetry.record_kernel(kernel_statistics)
-            shard_statistics = (
-                self._kernel_stacks.shard_statistics()
-            )
-            if shard_statistics is not None:
-                telemetry.record_kernel(shard_statistics)
         return Recommendation(
             workload=resolved,
             result=result,
@@ -748,8 +658,6 @@ class IndexAdvisor:
         *,
         budget_shares: Sequence[float],
         deadline_s: float | None = None,
-        parallelism: int = 1,
-        naive_evaluation: bool = False,
         cost_kernel: str | None = None,
         warm_store: WarmBenefitStore | None = None,
     ) -> SweepRecommendation:
@@ -785,9 +693,6 @@ class IndexAdvisor:
         resolved = self._coerce_workload(workload)
         resilient, optimizer = self._kernel_stacks.stack(kernel)
         telemetry = self._telemetry
-        evaluation = EvaluationConfig(
-            naive=naive_evaluation, parallelism=parallelism
-        )
         with telemetry.tracer.span(
             "advisor.recommend_sweep", points=len(shares)
         ):
@@ -797,7 +702,6 @@ class IndexAdvisor:
                 shares,
                 telemetry=telemetry,
                 warm_store=warm_store,
-                evaluation=evaluation,
                 deadline=Deadline(deadline_s),
             )
         if telemetry.enabled:
@@ -808,11 +712,6 @@ class IndexAdvisor:
             )
             if kernel_statistics is not None:
                 telemetry.record_kernel(kernel_statistics)
-            shard_statistics = (
-                self._kernel_stacks.shard_statistics()
-            )
-            if shard_statistics is not None:
-                telemetry.record_kernel(shard_statistics)
         return SweepRecommendation(
             workload=resolved,
             sweep=sweep,

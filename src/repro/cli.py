@@ -53,13 +53,11 @@ import signal
 import sys
 
 from repro.cophy.solver import CoPhyAlgorithm
-from repro.core.evaluation import EvaluationConfig
 from repro.core.extend import ExtendAlgorithm
 from repro.core.steps import SelectionResult, format_steps
 from repro.core.sweep import parse_budget_sweep, sweep_select
 from repro.cost.kernel import VectorizedCostSource
 from repro.cost.model import CostModel
-from repro.cost.shard import ShardedCostSource
 from repro.cost.whatif import AnalyticalCostSource, WhatIfOptimizer
 from repro.exceptions import ExperimentError, ReproError
 from repro.heuristics.performance import (
@@ -192,15 +190,10 @@ def _run_algorithm(
     deadline: Deadline,
 ) -> SelectionResult:
     name = arguments.algorithm
-    evaluation = EvaluationConfig(
-        naive=arguments.naive_evaluation,
-        parallelism=arguments.parallelism,
-    )
-    parallelism = evaluation.effective_parallelism(optimizer)
     if name == "extend":
-        return ExtendAlgorithm(
-            optimizer, telemetry=telemetry, evaluation=evaluation
-        ).select(workload, budget, deadline=deadline)
+        return ExtendAlgorithm(optimizer, telemetry=telemetry).select(
+            workload, budget, deadline=deadline
+        )
 
     if arguments.candidates:
         statistics = WorkloadStatistics(workload)
@@ -221,18 +214,11 @@ def _run_algorithm(
     }
     if name in heuristic_types:
         return heuristic_types[name](
-            optimizer, telemetry=telemetry, parallelism=parallelism
+            optimizer, telemetry=telemetry
         ).select(workload, budget, candidates, deadline=deadline)
-    if name == "h4":
+    if name in ("h4", "h4s"):
         return PerformanceHeuristic(
-            optimizer, telemetry=telemetry, parallelism=parallelism
-        ).select(workload, budget, candidates, deadline=deadline)
-    if name == "h4s":
-        return PerformanceHeuristic(
-            optimizer,
-            use_skyline=True,
-            telemetry=telemetry,
-            parallelism=parallelism,
+            optimizer, use_skyline=name == "h4s", telemetry=telemetry
         ).select(workload, budget, candidates, deadline=deadline)
     raise ExperimentError(f"unknown algorithm {name!r}")
 
@@ -241,16 +227,11 @@ def _build_cost_stack(
     arguments: argparse.Namespace, workload: Workload
 ) -> tuple[WhatIfOptimizer, ResilientCostSource,
            FaultInjectingCostSource | None,
-           VectorizedCostSource | ShardedCostSource | None]:
+           VectorizedCostSource | None]:
     """Assemble analytic backend → fault injector → resilient wrapper."""
-    kernel: VectorizedCostSource | ShardedCostSource | None = None
+    kernel: VectorizedCostSource | None = None
     if arguments.cost_kernel == "vectorized":
         kernel = VectorizedCostSource(workload.schema)
-        analytical = kernel
-    elif arguments.cost_kernel == "sharded":
-        kernel = ShardedCostSource(
-            workload.schema, shards=arguments.shards
-        )
         analytical = kernel
     else:
         analytical = AnalyticalCostSource(CostModel(workload.schema))
@@ -331,10 +312,6 @@ def _advise_sweep(
         optimizer,
         shares,
         telemetry=telemetry,
-        evaluation=EvaluationConfig(
-            naive=arguments.naive_evaluation,
-            parallelism=arguments.parallelism,
-        ),
         deadline=deadline,
     )
     baseline = optimizer.workload_cost(workload, ())
@@ -375,8 +352,6 @@ def _advise_sweep(
             f"{resilience_stats.fallback_calls:,} fallback calls, "
             f"breaker {resilience_stats.breaker_state.name.lower()}"
         )
-    if isinstance(kernel, ShardedCostSource):
-        kernel.close()
     if telemetry.enabled:
         optimizer.statistics.publish(telemetry.metrics)
         resilient.statistics.publish(telemetry.metrics)
@@ -454,16 +429,6 @@ def _advise(arguments: argparse.Namespace) -> int:
             f"{resilience_stats.fallback_calls:,} fallback calls, "
             f"breaker {resilience_stats.breaker_state.name.lower()}"
         )
-    if isinstance(kernel, ShardedCostSource):
-        shard_stats = kernel.statistics
-        print(
-            f"Sharded kernel: {shard_stats.workers} workers, "
-            f"{shard_stats.dispatched_pairs:,} pairs dispatched "
-            f"({shard_stats.dispatches:,} chunks), "
-            f"{shard_stats.local_pairs:,} priced in-process, "
-            f"{shard_stats.worker_failures:,} worker failures"
-        )
-        kernel.close()
     print("\nRecommended indexes:")
     for index in sorted(
         result.configuration,
@@ -478,10 +443,6 @@ def _advise(arguments: argparse.Namespace) -> int:
         resilient.statistics.publish(telemetry.metrics)
         if kernel is not None:
             kernel.statistics.publish(telemetry.metrics)
-        if isinstance(kernel, ShardedCostSource):
-            # The in-process kernel's compiled-pack gauges ride along
-            # with the shard_* gauges published above.
-            kernel.kernel_statistics.publish(telemetry.metrics)
         if injector is not None:
             injector.statistics.publish(telemetry.metrics)
         if arguments.metrics:
@@ -498,10 +459,7 @@ def _serve(arguments: argparse.Namespace) -> int:
     schema = workload.schema
     cost_source = None
     if arguments.fault_rate > 0:
-        if arguments.cost_kernel in ("vectorized", "sharded"):
-            # The injector's inner source stays single-process (it is
-            # bit-identical to the sharded backend); the per-kernel
-            # analytic fallback in the stacks keeps the sharded pool.
+        if arguments.cost_kernel == "vectorized":
             analytical = VectorizedCostSource(schema)
         else:
             analytical = AnalyticalCostSource(CostModel(schema))
@@ -521,7 +479,6 @@ def _serve(arguments: argparse.Namespace) -> int:
             backoff_base_s=0.0,
         ),
         cost_kernel=arguments.cost_kernel,
-        shards=arguments.shards,
         coalesce=not arguments.no_coalesce,
         batch_window_ms=arguments.batch_window_ms,
         coalesce_max_pairs=arguments.coalesce_max_pairs,
@@ -585,10 +542,7 @@ def _serve(arguments: argparse.Namespace) -> int:
         signal.signal(signal.SIGTERM, _handle_sigterm)
     except ValueError:  # pragma: no cover - non-main-thread embedding
         pass
-    defaults = {"parallelism": arguments.parallelism}
-    handled = serve_loop(
-        service, sys.stdin, sys.stdout, request_defaults=defaults
-    )
+    handled = serve_loop(service, sys.stdin, sys.stdout)
     statistics = service.statistics
     print(
         f"repro serve: exiting after {handled} messages "
@@ -638,26 +592,11 @@ def main(argv: list[str] | None = None) -> int:
 
     cost_flags = argparse.ArgumentParser(add_help=False)
     cost_flags.add_argument(
-        "--cost-kernel", choices=("scalar", "vectorized", "sharded"),
+        "--cost-kernel", choices=("scalar", "vectorized"),
         default="vectorized",
         help="analytic cost backend flavour: the compiled numpy batch "
-        "kernel (default), the pure-Python scalar model, or the "
-        "process-sharded kernel for whole-enterprise workloads; all "
-        "agree within 1e-9 relative tolerance (sharded is "
-        "bit-identical to vectorized)",
-    )
-    cost_flags.add_argument(
-        "--shards", type=_positive_int, default=None, metavar="N",
-        help="worker processes for --cost-kernel sharded (default: "
-        "machine cores clamped to [2, 8]); batches below the dispatch "
-        "threshold stay in-process",
-    )
-    cost_flags.add_argument(
-        "--parallelism", type=int, default=1, metavar="N",
-        help="worker threads for candidate evaluation/pricing "
-        "(default 1 = serial; recommendations are identical at any "
-        "setting, and the engine falls back to serial when the cost "
-        "backend is not thread-safe, e.g. under --fault-rate)",
+        "kernel (default) or the pure-Python scalar model; both agree "
+        "within 1e-9 relative tolerance",
     )
     cost_flags.add_argument(
         "--max-retries", type=int, default=3,
@@ -701,12 +640,6 @@ def main(argv: list[str] | None = None) -> int:
         "--deadline", type=float, default=None, metavar="SECONDS",
         help="wall-clock budget for the selection; on expiry the "
         "best-so-far configuration is returned tagged 'degraded'",
-    )
-    advise.add_argument(
-        "--naive-evaluation", action="store_true",
-        help="use the pre-engine exhaustive candidate re-scan instead "
-        "of the incremental benefit table (differential-testing "
-        "escape hatch; same recommendation, many more what-if calls)",
     )
     advise.add_argument(
         "--merge-duplicates", action="store_true",

@@ -20,13 +20,12 @@ evaluation incremental:
   against the backend only once their optimistic bound could beat the
   currently best exactly-priced candidate — everything else never
   triggers a ``CostSource.query_cost`` call at all.
-* :class:`EvaluationConfig` / :class:`EvaluationStatistics` — the knobs
-  (``naive_evaluation`` escape hatch, ``parallelism``) and the
-  ``evaluation.*`` telemetry counters (invalidations, reuse rate,
-  rounds, priced candidates).
-* :func:`price_columns` — batch (optionally parallel) pricing of
-  per-query cost columns, shared by the swap local search and the
-  performance heuristics.
+* :class:`EvaluationConfig` / :class:`EvaluationStatistics` — the
+  ``naive`` differential-testing oracle switch and the ``evaluation.*``
+  telemetry counters (invalidations, reuse rate, rounds, priced
+  candidates).
+* :func:`price_columns` — batch pricing of per-query cost columns,
+  used by the performance heuristics.
 
 **Equivalence guarantee.**  The engine selects the *identical* step as
 the naive exhaustive re-scan: cached benefits are exact (an entry is
@@ -38,25 +37,16 @@ break on the same deterministic keys as the naive loop.  The
 ``naive=True`` escape hatch keeps the pre-change exhaustive loop
 available for differential testing (see
 ``tests/core/test_evaluation_properties.py``).
-
-**Parallelism.**  ``parallelism=N`` evaluates and prices candidate
-partitions on a thread pool.  This is safe because
-``CostSource.query_cost`` is pure and deterministic; backends that are
-not thread-compatible (the seeded fault injector, whose RNG is
-order-dependent) advertise ``parallel_safe = False`` and the engine
-silently falls back to serial execution.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.exceptions import BudgetError
 from repro.indexes.index import Index
 
 __all__ = [
@@ -69,10 +59,6 @@ __all__ = [
     "price_columns",
 ]
 
-_PARALLEL_BATCH_MIN = 4
-"""Below this many work items a thread pool costs more than it saves."""
-
-
 @dataclass(frozen=True)
 class EvaluationConfig:
     """Knobs of the candidate-evaluation engine.
@@ -82,36 +68,12 @@ class EvaluationConfig:
     naive:
         ``True`` restores the pre-engine behavior exactly: every
         candidate is priced eagerly at construction and re-evaluated
-        against the full workload every round.  Kept as a differential-
-        testing escape hatch (``naive_evaluation=True`` on the advisor).
-    parallelism:
-        Number of worker threads for candidate evaluation and pricing.
-        ``1`` (default) stays serial; larger values partition the
-        candidate set across a thread pool.  Ignored (serial fallback)
-        when the cost backend is not ``parallel_safe``.
+        against the full workload every round.  Kept as the
+        differential-testing oracle the tests and
+        ``benchmarks/bench_evaluation.py`` build directly.
     """
 
     naive: bool = False
-    parallelism: int = 1
-
-    def __post_init__(self) -> None:
-        if self.parallelism < 1:
-            raise BudgetError(
-                f"parallelism must be >= 1, got {self.parallelism}"
-            )
-
-    def effective_parallelism(self, optimizer) -> int:
-        """The worker count after the backend-safety check.
-
-        Backends flag thread compatibility via ``parallel_safe`` (the
-        seeded fault injector is order-dependent and opts out); absent
-        attribute means safe.
-        """
-        if self.parallelism <= 1:
-            return 1
-        if not getattr(optimizer, "parallel_safe", True):
-            return 1
-        return self.parallelism
 
 
 @dataclass
@@ -131,7 +93,6 @@ class EvaluationStatistics:
     invalidations: int = 0
     priced_candidates: int = 0
     pruned_candidates: int = 0
-    parallelism: int = 1
     warm_hits: int = 0
     warm_misses: int = 0
 
@@ -157,7 +118,8 @@ class EvaluationStatistics:
         (``evaluation.rounds``, ``evaluation.evaluations``,
         ``evaluation.reused``, ``evaluation.reuse_rate``,
         ``evaluation.invalidations``, ``evaluation.priced_candidates``,
-        ``evaluation.pruned_candidates``, ``evaluation.parallelism``).
+        ``evaluation.pruned_candidates``, ``evaluation.warm_hits``,
+        ``evaluation.warm_misses``, ``evaluation.warm_hit_rate``).
         """
         registry.gauge(f"{prefix}.rounds").set(self.rounds)
         registry.gauge(f"{prefix}.evaluations").set(self.evaluations)
@@ -170,7 +132,6 @@ class EvaluationStatistics:
         registry.gauge(f"{prefix}.pruned_candidates").set(
             self.pruned_candidates
         )
-        registry.gauge(f"{prefix}.parallelism").set(self.parallelism)
         registry.gauge(f"{prefix}.warm_hits").set(self.warm_hits)
         registry.gauge(f"{prefix}.warm_misses").set(self.warm_misses)
         registry.gauge(f"{prefix}.warm_hit_rate").set(
@@ -491,11 +452,9 @@ class BenefitTable:
         self,
         *,
         naive: bool = False,
-        parallelism: int = 1,
         statistics: EvaluationStatistics | None = None,
     ) -> None:
         self._naive = naive
-        self._parallelism = max(1, parallelism)
         self._entries: dict[CandidateMove, _Entry] = {}
         self._by_position: dict[int, list[CandidateMove]] = {}
         # Incremental partitions of ``_entries`` (insertion-ordered sets
@@ -506,7 +465,6 @@ class BenefitTable:
         self._unpriced: dict[_Entry, None] = {}
         self._priced: dict[_Entry, None] = {}
         self.statistics = statistics or EvaluationStatistics()
-        self.statistics.parallelism = self._parallelism
 
     # ------------------------------------------------------------------
     # Pool membership
@@ -652,16 +610,9 @@ class BenefitTable:
                 ]
             if not contenders:
                 break
-            # Serial runs price one contender at a time — the classic
-            # lazy-greedy minimum.  Parallel runs price an optimistic
-            # batch per round trip: a few extra pricings buy N-wide
-            # backend concurrency.
-            if self._parallelism > 1:
-                batch = contenders[
-                    : max(needed, _PARALLEL_BATCH_MIN * self._parallelism)
-                ]
-            else:
-                batch = contenders[:needed]
+            # Price the ``needed`` best contenders — the classic
+            # lazy-greedy minimum.
+            batch = contenders[:needed]
             self._price(batch, current)
             contenders = contenders[len(batch):]
 
@@ -703,10 +654,7 @@ class BenefitTable:
         dirty = list(self._dirty)
         self.statistics.evaluations += len(dirty)
         self.statistics.reused += len(self._entries) - len(dirty)
-        if not dirty:
-            return
-
-        def evaluate(entry: _Entry) -> None:
+        for entry in dirty:
             move = entry.move
             entry.value = (
                 move.benefit(current)
@@ -714,8 +662,6 @@ class BenefitTable:
                 else move.upper_bound(current)
             )
             entry.dirty = False
-
-        self._each(evaluate, dirty)
         self._dirty.clear()
 
     def _priced_threshold(
@@ -749,15 +695,9 @@ class BenefitTable:
     ) -> None:
         """Exactly price a batch of optimistic entries."""
         self.statistics.priced_candidates += len(batch)
-
-        def resolve(entry: _Entry) -> None:
+        for entry in batch:
             entry.move.price()
             entry.value = entry.move.benefit(current)
-
-        self._each(resolve, batch)
-        # Partition moves happen serially: worker threads only touch
-        # entry fields, never the (unsynchronised) dicts.
-        for entry in batch:
             self._unpriced.pop(entry, None)
             self._priced[entry] = None
 
@@ -796,33 +736,6 @@ class BenefitTable:
         ]
         return (best, best_benefit), runners_up
 
-    def _each(self, function, items: Sequence) -> None:
-        """Apply ``function`` to every item, on threads when it pays.
-
-        Worker pools are per-batch (created and joined inside this
-        call), so an aborted run can never leak threads.  Each item is
-        touched by exactly one worker and results are merged by entry
-        identity, so the outcome is deterministic regardless of
-        scheduling.
-        """
-        if (
-            self._parallelism <= 1
-            or len(items) < _PARALLEL_BATCH_MIN
-        ):
-            for item in items:
-                function(item)
-            return
-        with ThreadPoolExecutor(
-            max_workers=self._parallelism,
-            thread_name_prefix="repro-eval",
-        ) as pool:
-            for _ in pool.map(
-                function,
-                items,
-                chunksize=max(1, len(items) // self._parallelism),
-            ):
-                pass
-
     def pending_candidates(self) -> int:
         """Moves still unpriced (each saved its backend pricing calls)."""
         if not self._naive:
@@ -838,29 +751,22 @@ class BenefitTable:
 
 
 def price_columns(
-    optimizer,
-    queries: Sequence,
-    indexes: Iterable[Index],
-    *,
-    parallelism: int = 1,
+    optimizer, queries: Sequence, indexes: Iterable[Index]
 ) -> None:
     """Warm the what-if facade for every ``(query, index)`` column.
 
-    Shared by the swap local search (pool construction) and the
-    performance heuristics (ranking): both need full per-query cost
-    columns for many candidates, which is embarrassingly parallel
-    because ``CostSource.query_cost`` is pure.  Serial when the backend
-    is not ``parallel_safe`` or the batch is small; results land in the
-    facade cache, so the subsequent (serial, deterministic) ranking
-    loops are pure cache hits either way.
+    Used by the performance heuristics, which need full per-query cost
+    columns for many candidates before their (serial, deterministic)
+    ranking loops: those loops then run on pure cache hits.  Batched
+    when the backend supports it; the facade accounting matches the
+    per-pair loop exactly either way.
     """
     candidates = [index for index in dict.fromkeys(indexes)]
     if getattr(optimizer, "supports_pair_batch", False):
         # Whole-table pair pricing: every applicable (query, candidate)
-        # pair flattens into one backend sweep — same pair set and the
-        # same facade accounting as the per-candidate loops below.
-        # Attribute ids are owned by one table, so leading-attribute
-        # membership is exactly Index.is_applicable_to.
+        # pair flattens into one backend sweep.  Attribute ids are
+        # owned by one table, so leading-attribute membership is
+        # exactly Index.is_applicable_to.
         by_leading: dict[int, list] = {}
         for query in queries:
             for attribute_id in query.attributes:
@@ -875,8 +781,7 @@ def price_columns(
         return
     if getattr(optimizer, "supports_batch", False):
         # The compiled kernel prices a whole applicable column in one
-        # batched call — cheaper than thread fan-out, and the facade
-        # accounting matches the per-pair loops below exactly.
+        # batched call.
         for index in candidates:
             applicable = [
                 query
@@ -886,27 +791,7 @@ def price_columns(
             if applicable:
                 optimizer.index_costs(applicable, index)
         return
-    workers = parallelism
-    if workers > 1 and not getattr(optimizer, "parallel_safe", True):
-        workers = 1
-    if workers <= 1 or len(candidates) < _PARALLEL_BATCH_MIN:
-        for index in candidates:
-            for query in queries:
-                if index.is_applicable_to(query):
-                    optimizer.index_cost(query, index)
-        return
-
-    def warm(index: Index) -> None:
+    for index in candidates:
         for query in queries:
             if index.is_applicable_to(query):
                 optimizer.index_cost(query, index)
-
-    with ThreadPoolExecutor(
-        max_workers=workers, thread_name_prefix="repro-price"
-    ) as pool:
-        for _ in pool.map(
-            warm,
-            candidates,
-            chunksize=max(1, len(candidates) // workers),
-        ):
-            pass

@@ -128,10 +128,9 @@ class ExtendAlgorithm:
         Candidate-evaluation engine knobs
         (:class:`~repro.core.evaluation.EvaluationConfig`):
         ``naive=True`` restores the pre-engine exhaustive re-scan (the
-        differential-testing escape hatch), ``parallelism=N`` evaluates
-        and prices candidate partitions on a thread pool.  The default
-        is the incremental serial engine, which selects identical steps
-        with strictly fewer what-if calls.
+        differential-testing oracle).  The default is the incremental
+        engine, which selects identical steps with strictly fewer
+        what-if calls.
     warm_store:
         Optional :class:`~repro.core.evaluation.WarmBenefitStore`
         shared across runs over the *same* workload: priced candidate
@@ -536,10 +535,7 @@ class _ConstructionState:
                     self._current[position] = cost
 
         self.last_candidates_considered = 0
-        self._table = BenefitTable(
-            naive=evaluation.naive,
-            parallelism=evaluation.effective_parallelism(optimizer),
-        )
+        self._table = BenefitTable(naive=evaluation.naive)
         self._single_moves: dict[int, CandidateMove] = {}
         self._extension_moves: dict[tuple[Index, int], CandidateMove] = {}
         self._branch_moves: dict[

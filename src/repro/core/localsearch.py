@@ -23,7 +23,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.evaluation import price_columns
 from repro.core.steps import STATUS_DEGRADED, SelectionResult
 from repro.cost.whatif import WhatIfOptimizer
 from repro.exceptions import BudgetError
@@ -140,7 +139,6 @@ def swap_local_search(
     max_pool: int = 500,
     telemetry: Telemetry = NULL_TELEMETRY,
     deadline: Deadline | None = None,
-    parallelism: int = 1,
 ) -> SelectionResult:
     """Improve a selection by budget-respecting swaps.
 
@@ -161,12 +159,6 @@ def swap_local_search(
         boundary once expired and the result is tagged ``degraded``
         (every completed swap already improved on the input, so
         stopping early is always safe).
-    parallelism:
-        Worker threads used to pre-price the candidate pool's cost
-        columns through :func:`~repro.core.evaluation.price_columns`.
-        The search itself stays serial and deterministic — the warm
-        facade cache just makes its column fetches free.  Serial
-        fallback when the backend is not ``parallel_safe``.
 
     Returns
     -------
@@ -203,24 +195,6 @@ def swap_local_search(
 
             pool = [index for index in dict.fromkeys(candidate_pool)]
             pool = [index for index in pool if index not in selected]
-            if parallelism > 1:
-                # Warm every cost column the search could touch; the
-                # serial loops below then run on pure cache hits.
-                price_columns(
-                    optimizer,
-                    workload.queries,
-                    (
-                        *sorted(
-                            selected,
-                            key=lambda index: (
-                                index.table_name,
-                                index.attributes,
-                            ),
-                        ),
-                        *pool,
-                    ),
-                    parallelism=parallelism,
-                )
             if len(pool) > max_pool:
                 # Rank candidates by what they could still add on top of
                 # the current selection — ranking against the no-index

@@ -52,7 +52,6 @@ __all__ = [
     "SweepStatistics",
     "normalize_budget_shares",
     "parse_budget_sweep",
-    "sweep_points_parallel",
     "sweep_select",
 ]
 
@@ -450,33 +449,3 @@ def _point_algorithm(
         evaluation=evaluation,
         warm_store=store,
     )
-
-
-def sweep_points_parallel(
-    budget_shares: Sequence[float],
-    runner: Callable[[float], object],
-    *,
-    parallelism: int,
-) -> list:
-    """Fan independent per-budget runs out over a thread pool.
-
-    For series whose points share nothing across budgets (CoPhy runs,
-    the ranking heuristics, measured Fig. 5 executions), points can run
-    concurrently — the threads drive the resident process pool of the
-    sharded kernel underneath, and each ``runner(share)`` call stays
-    bit-identical to its serial execution because the runs are
-    independent by assumption.  Results come back in the *caller's*
-    share order regardless of completion order; ``parallelism <= 1``
-    degenerates to the plain serial loop.
-    """
-    shares = list(budget_shares)
-    if parallelism <= 1 or len(shares) <= 1:
-        return [runner(share) for share in shares]
-    from concurrent.futures import ThreadPoolExecutor
-
-    workers = min(parallelism, len(shares))
-    with ThreadPoolExecutor(
-        max_workers=workers, thread_name_prefix="repro-sweep"
-    ) as pool:
-        futures = [pool.submit(runner, share) for share in shares]
-        return [future.result() for future in futures]

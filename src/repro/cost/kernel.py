@@ -16,13 +16,12 @@ expressions:
   query the row count ``n``, ``log2(n)``, the table, the kind, and the
   precomputed sequential baseline ``f_j(0)``.
 * :class:`VectorizedCostSource` — a drop-in
-  :class:`~repro.cost.whatif.CostSource` (``parallel_safe = True``)
-  that evaluates ``f_j(0)``/``f_j(k)`` for many queries per call via
-  cumulative-product qualifying fractions, per-prefix log terms, and
-  position-list output terms — no per-row Python loops.  Single-pair
-  ``query_cost`` calls are served from the same compiled rows, so a
-  query always prices identically whether reached via a batch or a
-  scalar entry point.
+  :class:`~repro.cost.whatif.CostSource` that evaluates
+  ``f_j(0)``/``f_j(k)`` for many queries per call via cumulative-product
+  qualifying fractions, per-prefix log terms, and position-list output
+  terms — no per-row Python loops.  Single-pair ``query_cost`` calls
+  are served from the same compiled rows, so a query always prices
+  identically whether reached via a batch or a scalar entry point.
 
 **Equivalence contract.**  For every ``(query, index)`` pair the
 vectorized cost matches the scalar :class:`CostModel` within ``1e-9``
@@ -198,10 +197,6 @@ class VectorizedCostSource:
     by the facade, and the greedy multi-index loop does not vectorize),
     keeping those paths bit-identical to the scalar backend.
     """
-
-    parallel_safe = True
-    """The kernel is pure and internally locked around compilation, so
-    evaluation workers may share one instance."""
 
     def __init__(self, schema: Schema) -> None:
         self._schema = schema
@@ -384,53 +379,6 @@ class VectorizedCostSource:
             ],
             dtype=np.float64,
         )
-
-    # ------------------------------------------------------------------
-    # Sharding support (public pack-level entry points)
-    # ------------------------------------------------------------------
-
-    def packs(self) -> tuple[CompiledWorkload, ...]:
-        """Every pack compiled so far, in compilation order.
-
-        The process-sharded backend (:mod:`repro.cost.shard`) snapshots
-        this tuple when it (re)builds its worker pool: packs are
-        immutable once compiled, so shipping them to workers once — via
-        fork inheritance or a single pickle at pool start — keeps every
-        worker's rows bit-identical to the parent's.
-        """
-        with self._lock:
-            seen: set[int] = set()
-            ordered: list[CompiledWorkload] = []
-            for pack, _ in self._rows.values():
-                if id(pack) not in seen:
-                    seen.add(id(pack))
-                    ordered.append(pack)
-            return tuple(ordered)
-
-    def placements_for(
-        self, queries: Sequence[Query]
-    ) -> list[tuple[CompiledWorkload, int]]:
-        """Public :meth:`_placements`: pack rows, compiling unseen
-        queries.  Row bindings are permanent, so shard partitioning on
-        top of them is stable across calls."""
-        return self._placements(queries)
-
-    def index_costs_on(
-        self, pack: CompiledWorkload, rows: np.ndarray, index: Index
-    ) -> np.ndarray:
-        """Public :meth:`_index_costs_on` for shard workers: ``f_j(k)``
-        for selected pack rows under one index.  Row-wise pure — any
-        partition of ``rows`` concatenates to the unpartitioned result
-        bit-for-bit."""
-        return self._index_costs_on(pack, rows, index)
-
-    def pair_costs_on(
-        self, pack: CompiledWorkload, rows: np.ndarray, indexes: list
-    ) -> np.ndarray:
-        """Public :meth:`_pair_costs_on` for shard workers: ``f_j(k)``
-        for pack rows with per-row indexes.  Element-wise per pair, so
-        sharding the pair axis preserves bitwise equality."""
-        return self._pair_costs_on(pack, rows, indexes)
 
     # ------------------------------------------------------------------
     # Compilation

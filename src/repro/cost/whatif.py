@@ -7,9 +7,8 @@ number of such calls (≈ ``2·Q·q̄`` for Algorithm 1 versus
 
 * :class:`CostSource` — the protocol a cost backend implements.
   Backends: :class:`AnalyticalCostSource` (Appendix B model), the
-  compiled batch kernel in :mod:`repro.cost.kernel`, its process-pool
-  shard in :mod:`repro.cost.shard` (bit-identical to the kernel), and
-  the measured-execution source in :mod:`repro.engine.measured`.
+  compiled batch kernel in :mod:`repro.cost.kernel`, and the
+  measured-execution source in :mod:`repro.engine.measured`.
 * :class:`WhatIfOptimizer` — a caching facade that counts *backend* calls
   (cache hits are free, exactly like the caching the paper describes in
   Fig. 1's notes: "required what-if calls from previous steps can be
@@ -210,7 +209,7 @@ class WhatIfOptimizer:
         self._maintenance_cache: dict[tuple, float] = {}
         self._statistics = WhatIfStatistics()
         # Guards cache/statistics mutation so the facade can be shared
-        # by the evaluation engine's worker threads.
+        # by concurrent requests (the service's worker threads).
         self._lock = threading.Lock()
 
     @property
@@ -273,17 +272,6 @@ class WhatIfOptimizer:
         it).  :meth:`pair_costs` works either way — it degrades to
         per-pair lookups on backends without it."""
         return getattr(self._source, "pair_costs", None) is not None
-
-    @property
-    def parallel_safe(self) -> bool:
-        """Whether the facade may be shared by evaluation workers.
-
-        The facade itself is internally locked; thread compatibility is
-        therefore decided by the backend (the seeded fault injector is
-        order-dependent and opts out via ``parallel_safe = False``;
-        a missing attribute means safe).
-        """
-        return getattr(self._source, "parallel_safe", True)
 
     def reset_statistics(self) -> None:
         """Zero the call counters (the cache itself is kept)."""

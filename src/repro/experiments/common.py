@@ -8,7 +8,6 @@ reports.  This module holds the pieces they share.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -17,7 +16,7 @@ from repro.core.evaluation import WarmBenefitStore
 from repro.core.extend import ExtendAlgorithm
 from repro.core.frontier import Frontier, FrontierPoint
 from repro.core.steps import SelectionResult
-from repro.core.sweep import sweep_points_parallel, sweep_select
+from repro.core.sweep import sweep_select
 from repro.cost.kernel import VectorizedCostSource
 from repro.cost.model import CostModel
 from repro.cost.whatif import AnalyticalCostSource, WhatIfOptimizer
@@ -48,9 +47,7 @@ class BudgetSweepSeries:
     point_whatif_calls: list[int] = field(default_factory=list)
     """Backend what-if calls attributed to each point, parallel to
     ``points``.  Under the shared sweep engine the first *executed*
-    (largest-budget) point carries nearly all of them; under thread
-    fan-out the attribution is approximate (concurrent points share one
-    facade) while ``whatif_calls`` stays exact for the whole loop."""
+    (largest-budget) point carries nearly all of them."""
     notes: list[str] = field(default_factory=list)
 
     def add(
@@ -85,25 +82,18 @@ def analytic_optimizer(
 
     ``kernel`` selects the backend flavour: ``"vectorized"`` (default)
     uses the compiled batch kernel of :mod:`repro.cost.kernel`,
-    ``"scalar"`` the pure-Python :class:`CostModel`, ``"sharded"`` the
-    process-pool backend of :mod:`repro.cost.shard`.  All agree within
-    1e-9 relative tolerance on every pair (vectorized and sharded are
-    bit-identical); the experiment sweeps (and the golden step traces)
-    are invariant to the choice.
+    ``"scalar"`` the pure-Python :class:`CostModel`.  Both agree within
+    1e-9 relative tolerance on every pair; the experiment sweeps (and
+    the golden step traces) are invariant to the choice.
     """
     if kernel == "vectorized":
         return WhatIfOptimizer(VectorizedCostSource(workload.schema))
-    if kernel == "sharded":
-        from repro.cost.shard import ShardedCostSource
-
-        return WhatIfOptimizer(ShardedCostSource(workload.schema))
     if kernel == "scalar":
         return WhatIfOptimizer(
             AnalyticalCostSource(CostModel(workload.schema))
         )
     raise ExperimentError(
-        f"unknown cost kernel {kernel!r}; pick 'scalar', 'vectorized' "
-        "or 'sharded'"
+        f"unknown cost kernel {kernel!r}; pick 'scalar' or 'vectorized'"
     )
 
 
@@ -252,100 +242,56 @@ def sweep_cophy(
     cost_fn: Callable[[SelectionResult], float] | None = None,
     telemetry: Telemetry | None = None,
     verbose: bool = False,
-    point_parallelism: int = 1,
 ) -> BudgetSweepSeries:
     """Run CoPhy once per budget share over a fixed candidate set.
 
     Budgets where the solver DNFs are recorded as ``inf`` cost with a
     note, mirroring Table I's DNF entries; the DNF runtime is read from
     the tracer span that wrapped the attempt.
-
-    CoPhy points share nothing across budgets (one LP per budget over a
-    fixed candidate set), so ``point_parallelism > 1`` fans them out
-    over threads — each point gets a fresh solver instance against the
-    shared (thread-safe) what-if facade, the threads drive the resident
-    process pool when the sharded kernel is active, and the assembled
-    series is bit-identical to the serial loop.  ``cost_fn`` is applied
-    serially during assembly either way (Fig. 5's measured executions
-    must not overlap).
     """
     telemetry = telemetry or Telemetry()
     series = BudgetSweepSeries(name=name)
-
-    def build_algorithm() -> CoPhyAlgorithm:
-        return CoPhyAlgorithm(
-            optimizer,
-            mip_gap=mip_gap,
-            time_limit=time_limit,
-            telemetry=telemetry,
-        )
-
-    def record(w, result, runtime, point_calls) -> None:
-        if result is None:
-            series.add(
-                w, float("inf"), runtime, whatif_calls=point_calls
-            )
-            series.notes.append(f"w={w:g}: DNF (time limit)")
-            _progress(verbose, f"{name} w={w:g}: DNF")
-            return
-        cost = _series_cost(result, cost_fn)
-        series.add(w, cost, runtime, whatif_calls=point_calls)
-        if result.timed_out:
-            series.notes.append(
-                f"w={w:g}: time limit hit, incumbent returned"
-            )
-        _progress(
-            verbose,
-            f"{name} w={w:g}: cost={cost:.4g} "
-            f"solve={result.runtime_seconds:.1f}s"
-            + (" (timed out)" if result.timed_out else ""),
-        )
-
+    algorithm = CoPhyAlgorithm(
+        optimizer,
+        mip_gap=mip_gap,
+        time_limit=time_limit,
+        telemetry=telemetry,
+    )
     calls_before = optimizer.calls
     with telemetry.tracer.span("sweep.cophy", series=name):
-        if point_parallelism > 1:
-
-            def run_point(w):
-                algorithm = build_algorithm()
-                budget = relative_budget(workload.schema, w)
-                started = time.perf_counter()
+        for w in budget_shares:
+            budget = relative_budget(workload.schema, w)
+            point_calls = optimizer.calls
+            with telemetry.tracer.span("sweep.point", w=w) as point_span:
                 try:
                     result = algorithm.select(workload, budget, candidates)
                 except SolverTimeoutError:
-                    return None, time.perf_counter() - started, 0
-                return result, result.runtime_seconds, result.whatif_calls
-
-            outcomes = sweep_points_parallel(
-                budget_shares, run_point, parallelism=point_parallelism
-            )
-            for w, (result, runtime, point_calls) in zip(
-                budget_shares, outcomes
-            ):
-                record(w, result, runtime, point_calls)
-        else:
-            algorithm = build_algorithm()
-            for w in budget_shares:
-                budget = relative_budget(workload.schema, w)
-                point_calls = optimizer.calls
-                with telemetry.tracer.span(
-                    "sweep.point", w=w
-                ) as point_span:
-                    try:
-                        result = algorithm.select(
-                            workload, budget, candidates
-                        )
-                    except SolverTimeoutError:
-                        result = None
-                record(
+                    result = None
+            point_calls = optimizer.calls - point_calls
+            if result is None:
+                series.add(
                     w,
-                    result,
-                    (
-                        point_span.duration_seconds
-                        if result is None
-                        else result.runtime_seconds
-                    ),
-                    optimizer.calls - point_calls,
+                    float("inf"),
+                    point_span.duration_seconds,
+                    whatif_calls=point_calls,
                 )
+                series.notes.append(f"w={w:g}: DNF (time limit)")
+                _progress(verbose, f"{name} w={w:g}: DNF")
+                continue
+            cost = _series_cost(result, cost_fn)
+            series.add(
+                w, cost, result.runtime_seconds, whatif_calls=point_calls
+            )
+            if result.timed_out:
+                series.notes.append(
+                    f"w={w:g}: time limit hit, incumbent returned"
+                )
+            _progress(
+                verbose,
+                f"{name} w={w:g}: cost={cost:.4g} "
+                f"solve={result.runtime_seconds:.1f}s"
+                + (" (timed out)" if result.timed_out else ""),
+            )
     series.whatif_calls = optimizer.calls - calls_before
     return series
 
@@ -358,51 +304,23 @@ def sweep_heuristic(
     *,
     cost_fn: Callable[[SelectionResult], float] | None = None,
     telemetry: Telemetry | None = None,
-    point_parallelism: int = 1,
-    heuristic_factory: Callable[[], object] | None = None,
 ) -> BudgetSweepSeries:
-    """Run a :class:`RankingHeuristic` once per budget share.
-
-    Heuristic points are independent (one ranked greedy pass per
-    budget), so ``point_parallelism > 1`` fans them out over threads
-    when ``heuristic_factory`` builds a fresh heuristic per point
-    (instances are not assumed thread-safe; the shared what-if facade
-    is).  Without a factory the sweep stays serial.  The assembled
-    series is bit-identical to the serial loop either way.
-    """
+    """Run a :class:`RankingHeuristic` once per budget share."""
     telemetry = telemetry or Telemetry()
     series = BudgetSweepSeries(name=heuristic.name)
     calls_before = heuristic.optimizer.calls
     with telemetry.tracer.span("sweep.heuristic", series=heuristic.name):
-        if point_parallelism > 1 and heuristic_factory is not None:
-
-            def run_point(w):
-                runner = heuristic_factory()
-                budget = relative_budget(workload.schema, w)
-                return runner.select(workload, budget, candidates)
-
-            results = sweep_points_parallel(
-                budget_shares, run_point, parallelism=point_parallelism
+        for w in budget_shares:
+            budget = relative_budget(workload.schema, w)
+            point_calls = heuristic.optimizer.calls
+            with telemetry.tracer.span("sweep.point", w=w):
+                result = heuristic.select(workload, budget, candidates)
+                cost = _series_cost(result, cost_fn)
+            series.add(
+                w,
+                cost,
+                result.runtime_seconds,
+                whatif_calls=heuristic.optimizer.calls - point_calls,
             )
-            for w, result in zip(budget_shares, results):
-                series.add(
-                    w,
-                    _series_cost(result, cost_fn),
-                    result.runtime_seconds,
-                    whatif_calls=result.whatif_calls,
-                )
-        else:
-            for w in budget_shares:
-                budget = relative_budget(workload.schema, w)
-                point_calls = heuristic.optimizer.calls
-                with telemetry.tracer.span("sweep.point", w=w):
-                    result = heuristic.select(workload, budget, candidates)
-                    cost = _series_cost(result, cost_fn)
-                series.add(
-                    w,
-                    cost,
-                    result.runtime_seconds,
-                    whatif_calls=heuristic.optimizer.calls - point_calls,
-                )
     series.whatif_calls = heuristic.optimizer.calls - calls_before
     return series

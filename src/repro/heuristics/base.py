@@ -45,24 +45,15 @@ class RankingHeuristic(abc.ABC):
         optimizer: WhatIfOptimizer,
         *,
         telemetry: Telemetry = NULL_TELEMETRY,
-        parallelism: int = 1,
     ) -> None:
         self._optimizer = optimizer
         self._telemetry = telemetry
-        self._parallelism = max(1, parallelism)
 
     @property
     def optimizer(self) -> WhatIfOptimizer:
         """The what-if facade used for final pricing (and by H4/H5 for
         ranking)."""
         return self._optimizer
-
-    @property
-    def parallelism(self) -> int:
-        """Worker threads a subclass may use to pre-price candidates
-        (see :func:`~repro.core.evaluation.price_columns`); ranking and
-        the greedy fill stay serial and deterministic."""
-        return self._parallelism
 
     @abc.abstractmethod
     def rank(

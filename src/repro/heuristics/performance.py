@@ -70,17 +70,10 @@ class PerformanceHeuristic(RankingHeuristic):
         self, workload: Workload, candidates: Sequence[Index]
     ) -> list[Index]:
         pool = list(candidates)
-        if self.parallelism > 1 or getattr(
-            self.optimizer, "supports_batch", False
-        ):
-            # Warm the exact applicable pairs the ranking loop prices —
-            # threaded when asked, batched when the backend can.
-            price_columns(
-                self.optimizer,
-                workload.queries,
-                pool,
-                parallelism=self.parallelism,
-            )
+        if getattr(self.optimizer, "supports_batch", False):
+            # Warm the exact applicable pairs the ranking loop prices
+            # in batched backend calls.
+            price_columns(self.optimizer, workload.queries, pool)
         if self._use_skyline:
             pool = skyline_filter(workload, pool, self.optimizer)
         return sorted(
@@ -108,15 +101,8 @@ class BenefitPerSizeHeuristic(RankingHeuristic):
         self, workload: Workload, candidates: Sequence[Index]
     ) -> list[Index]:
         schema = workload.schema
-        if self.parallelism > 1 or getattr(
-            self.optimizer, "supports_batch", False
-        ):
-            price_columns(
-                self.optimizer,
-                workload.queries,
-                candidates,
-                parallelism=self.parallelism,
-            )
+        if getattr(self.optimizer, "supports_batch", False):
+            price_columns(self.optimizer, workload.queries, candidates)
         return sorted(
             candidates,
             key=lambda index: (

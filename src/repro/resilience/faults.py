@@ -120,12 +120,6 @@ class FaultInjectingCostSource:
         latency is not simulated).
     """
 
-    parallel_safe = False
-    """The seeded fault schedule is call-order-dependent: concurrent
-    callers would consume RNG draws (or script tokens) in a
-    nondeterministic order and break replayability, so the evaluation
-    engine must fall back to serial execution."""
-
     def __init__(
         self,
         source,

@@ -167,17 +167,6 @@ class ResilientCostSource:
         """Entries available for stale-cache fallback."""
         return len(self._stale)
 
-    @property
-    def parallel_safe(self) -> bool:
-        """Whether evaluation workers may share this wrapper.
-
-        The wrapper itself is internally locked, so the verdict is the
-        primary backend's: the seeded fault injector replays an
-        order-dependent failure schedule and opts out
-        (``parallel_safe = False``); a missing attribute means safe.
-        """
-        return getattr(self._source, "parallel_safe", True)
-
     # ------------------------------------------------------------------
     # CostSource protocol
     # ------------------------------------------------------------------

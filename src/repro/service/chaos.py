@@ -19,14 +19,6 @@ Scenarios (``SCENARIOS``):
 ``worker_death``
     Worker executions die mid-request (an exploding cost backend) and
     one genuinely hangs until the watchdog abandons its thread.
-``shard_worker_death``
-    Every process of a :class:`~repro.cost.shard.ShardedCostSource`
-    pool is SIGKILLed between requests; the next cold request must
-    still complete with a configuration and cost identical to the
-    healthy baseline, the ``resilience.*`` gauges on its response must
-    record the degradation (a transient failure and a retry), and the
-    shard statistics must show exactly one lost batch and one pool
-    rebuild.
 ``sweep_worker_death``
     A multi-budget frontier sweep's worker dies mid-sweep (an
     exploding backend call aimed, by a fault-free probe run, inside a
@@ -58,13 +50,15 @@ Scenarios (``SCENARIOS``):
     genuinely in-flight overdue work.
 ``coalescer_waiter_storm``
     A storm of concurrent cold requests fuses its pricing into shared
-    coalescer batches, and the shard pool is SIGKILLed while those
-    fused batches are in flight.  Every waiter must reach exactly one
-    terminal outcome (the resilient retry heals the lost batch for all
-    of them at once), the recommendations must stay bit-identical to a
-    healthy baseline, and the ``coalescer.*`` gauges must show the
-    storm actually coalesced (fused batches, nonzero cross-request
-    dedup).
+    coalescer batches, and the backend loses the first batch fused
+    over a micro-batch window to one scripted
+    :class:`~repro.exceptions.TransientCostSourceError`.  Every waiter
+    must reach exactly one terminal outcome (the resilient retry heals
+    the lost batch for all of them at once, visible as
+    ``resilience.retries`` on the storm responses), the
+    recommendations must stay bit-identical to a healthy baseline, and
+    the ``coalescer.*`` gauges must show the storm actually coalesced
+    (fused batches, nonzero cross-request dedup).
 
 Scenarios use ``max_concurrency=1`` where the *report* depends on call
 order, so one seed always yields one report —
@@ -77,21 +71,21 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import random
-import signal
 import sys
 import tempfile
 import threading
-import time
 from concurrent.futures import TimeoutError as _FutureTimeoutError
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.cost.kernel import VectorizedCostSource
 from repro.cost.model import CostModel
-from repro.cost.shard import ShardedCostSource
 from repro.cost.whatif import AnalyticalCostSource
-from repro.exceptions import WatchdogTimeoutError
+from repro.exceptions import (
+    TransientCostSourceError,
+    WatchdogTimeoutError,
+)
 from repro.resilience.faults import (
     FaultInjectingCostSource,
     ManualClock,
@@ -109,7 +103,6 @@ __all__ = ["ChaosHarness", "ScenarioReport", "SCENARIOS", "main"]
 
 SCENARIOS = (
     "worker_death",
-    "shard_worker_death",
     "sweep_worker_death",
     "malformed_lines",
     "client_disconnect",
@@ -173,8 +166,6 @@ class _ExplodingSource:
     worker).
     """
 
-    parallel_safe = True
-
     def __init__(
         self,
         schema,
@@ -215,6 +206,39 @@ class _ExplodingSource:
     def multi_index_cost(self, query, indexes):
         self._chaos()
         return self._inner.multi_index_cost(query, indexes)
+
+
+class _LosesOneBatch(VectorizedCostSource):
+    """The vectorized kernel, losing one ``pair_costs`` batch on cue.
+
+    Healthy until :meth:`arm`; the first later ``pair_costs`` call
+    (the coalescer dispatches every batch through that entry point)
+    made while ``when()`` holds raises one
+    :class:`TransientCostSourceError`, and every call after it is
+    healthy again.
+    """
+
+    def __init__(self, schema) -> None:
+        super().__init__(schema)
+        self._when = None
+        self._arm_lock = threading.Lock()
+        self.lost_batches = 0
+
+    def arm(self, when) -> None:
+        with self._arm_lock:
+            self._when = when
+
+    def pair_costs(self, pairs):
+        with self._arm_lock:
+            lose = self._when is not None and self._when()
+            if lose:
+                self._when = None
+                self.lost_batches += 1
+        if lose:
+            raise TransientCostSourceError(
+                "chaos: the backend lost a fused pricing batch"
+            )
+        return super().pair_costs(pairs)
 
 
 class _DroppingOutput(io.StringIO):
@@ -465,156 +489,6 @@ class ChaosHarness:
             self._settle_and_check(service, tickets, report)
         return report
 
-    def _run_shard_worker_death(self) -> ScenarioReport:
-        report = ScenarioReport("shard_worker_death", self.seed)
-        rng = random.Random(self.seed)
-        # The service-built sharded flavour keeps its production
-        # dispatch floor (2048 pairs) and would price this deliberately
-        # small workload locally; injecting the source with a floor of
-        # 1 forces every batch of the chaos workload through the real
-        # process pool.
-        source = ShardedCostSource(
-            self._schema, shards=2, min_dispatch_pairs=1
-        )
-        service = AdvisorService(
-            self._schema,
-            max_concurrency=1,
-            queue_depth=4,
-            cost_source=source,
-            drain_timeout_s=5.0,
-        )
-        tickets: list = []
-        try:
-            # Warm stores are per-registration: two names for the same
-            # workload guarantee the post-kill request prices cold
-            # through the pool instead of being answered from memory.
-            service.register_workload("shard-warm", self._workload)
-            service.register_workload("shard-cold", self._workload)
-            baseline_ticket = service.submit(
-                RecommendRequest(
-                    workload="shard-warm",
-                    budget_share=_BUDGET_SHARE,
-                    request_id="shard-death-0",
-                )
-            )
-            tickets.append(baseline_ticket)
-            baseline = baseline_ticket.result(
-                timeout_s=_OUTCOME_WAIT_S
-            )
-            if source.statistics.dispatches == 0:
-                report.violations.append(
-                    "baseline request never dispatched to the shard "
-                    "pool; scenario vacuous"
-                )
-            # Massacre: SIGKILL every pool process (order scripted by
-            # the seed) and wait until the pool really is a graveyard,
-            # so the kill can never race the next request.
-            victims = source.worker_pids()
-            rng.shuffle(victims)
-            for pid in victims:
-                os.kill(pid, signal.SIGKILL)
-            deadline = time.monotonic() + _OUTCOME_WAIT_S
-            while (
-                source.alive_workers()
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.02)
-            report.details["workers_killed"] = len(victims)
-            if source.alive_workers():
-                report.violations.append(
-                    f"{source.alive_workers()} worker(s) survived "
-                    "SIGKILL"
-                )
-            # The facade cache is content-addressed and shared across
-            # requests, so re-pricing the same queries would never
-            # reach the (dead) pool.  Dropping it forces the cold
-            # request to genuinely price through the backend.
-            _, optimizer = service.kernel_stacks.stack("vectorized")
-            optimizer.clear_cache()
-            cold_ticket = service.submit(
-                RecommendRequest(
-                    workload="shard-cold",
-                    budget_share=_BUDGET_SHARE,
-                    request_id="shard-death-1",
-                )
-            )
-            tickets.append(cold_ticket)
-            cold = cold_ticket.result(timeout_s=_OUTCOME_WAIT_S)
-            # The request must complete *correctly*: same configuration
-            # and bit-identical cost as the healthy baseline run.
-            if cold.status != "completed":
-                report.violations.append(
-                    "post-kill request finished "
-                    f"{cold.status!r}, expected a clean completion"
-                )
-            if cold.warm:
-                report.violations.append(
-                    "post-kill request was answered warm; the pool "
-                    "was never exercised"
-                )
-            if cold.indexes != baseline.indexes:
-                report.violations.append(
-                    "post-kill recommendation differs from the "
-                    "healthy baseline configuration"
-                )
-            if cold.result.total_cost != baseline.result.total_cost:
-                report.violations.append(
-                    "post-kill total cost "
-                    f"{cold.result.total_cost!r} is not bit-identical "
-                    f"to the baseline {baseline.result.total_cost!r}"
-                )
-            # Degradation must be *visible*: the response gauges carry
-            # the resilience counters that absorbed the dead pool.
-            retries = cold.gauges.get(
-                "resilience.retries", 0.0
-            ) - baseline.gauges.get("resilience.retries", 0.0)
-            transients = cold.gauges.get(
-                "resilience.transient_failures", 0.0
-            ) - baseline.gauges.get(
-                "resilience.transient_failures", 0.0
-            )
-            fallbacks = cold.gauges.get(
-                "resilience.fallback_calls", 0.0
-            ) - baseline.gauges.get(
-                "resilience.fallback_calls", 0.0
-            )
-            statistics = source.statistics
-            report.details["resilience_retries"] = retries
-            report.details["resilience_transient_failures"] = transients
-            report.details["worker_failures"] = statistics.worker_failures
-            report.details["pool_rebuilds"] = statistics.pool_rebuilds
-            report.details["pool_starts"] = statistics.pool_starts
-            if transients < 1:
-                report.violations.append(
-                    "killing the whole pool recorded no "
-                    "resilience.transient_failures on the response"
-                )
-            if retries < 1:
-                report.violations.append(
-                    "the lost batch was never retried against a "
-                    "rebuilt pool (resilience.retries gauge flat)"
-                )
-            if fallbacks:
-                report.violations.append(
-                    "the retry should have healed the primary; "
-                    f"{fallbacks:.0f} call(s) leaked to the fallback "
-                    "chain"
-                )
-            if statistics.worker_failures != 1:
-                report.violations.append(
-                    "expected exactly 1 lost batch, shard statistics "
-                    f"counted {statistics.worker_failures}"
-                )
-            if statistics.pool_rebuilds != 1:
-                report.violations.append(
-                    "expected exactly 1 pool rebuild, shard "
-                    f"statistics counted {statistics.pool_rebuilds}"
-                )
-        finally:
-            self._settle_and_check(service, tickets, report)
-            source.close()
-        return report
-
     def _run_sweep_worker_death(self) -> ScenarioReport:
         report = ScenarioReport("sweep_worker_death", self.seed)
         rng = random.Random(self.seed)
@@ -813,14 +687,8 @@ class ChaosHarness:
 
     def _run_coalescer_waiter_storm(self) -> ScenarioReport:
         report = ScenarioReport("coalescer_waiter_storm", self.seed)
-        rng = random.Random(self.seed)
         storm_size = 4
-        # A dispatch floor of 1 forces every fused coalescer batch of
-        # this deliberately small workload through the real process
-        # pool, so the SIGKILL lands on work the waiters depend on.
-        source = ShardedCostSource(
-            self._schema, shards=2, min_dispatch_pairs=1
-        )
+        source = _LosesOneBatch(self._schema)
         # A generous window guarantees the storm's racing cold misses
         # actually meet inside it and fuse (the point of the scenario);
         # the idle fast path keeps the serial baseline request quick.
@@ -835,8 +703,8 @@ class ChaosHarness:
         tickets: list = []
         try:
             # Separate registrations for the same workload: the storm
-            # must price cold through the pool, not read the baseline
-            # request's warm benefit tables.
+            # must price cold through the backend, not read the
+            # baseline request's warm benefit tables.
             service.register_workload("storm-warm", self._workload)
             service.register_workload("storm-cold", self._workload)
             baseline_ticket = service.submit(
@@ -848,16 +716,12 @@ class ChaosHarness:
             )
             tickets.append(baseline_ticket)
             baseline = baseline_ticket.result(timeout_s=_OUTCOME_WAIT_S)
-            baseline_dispatches = source.statistics.dispatches
-            if baseline_dispatches == 0:
-                report.violations.append(
-                    "baseline request never dispatched to the shard "
-                    "pool; scenario vacuous"
-                )
             # The facade cache is shared and content-addressed;
             # dropping it forces the storm to genuinely re-price
-            # through coalescer -> resilient -> pool.
-            _, optimizer = service.kernel_stacks.stack("vectorized")
+            # through coalescer -> resilient -> backend.
+            resilient, optimizer = service.kernel_stacks.stack(
+                "vectorized"
+            )
             optimizer.clear_cache()
             coalescer = service.coalescer("vectorized")
             if coalescer is None:
@@ -867,31 +731,14 @@ class ChaosHarness:
                 )
                 return report
             before = coalescer.statistics.copy()
-
-            # The assassin waits for the first storm batch to reach
-            # the pool, then SIGKILLs every worker (seed-scripted
-            # order) — mid-fused-batch, while the followers of that
-            # batch are blocked on its shared work items.
-            def _assassinate() -> None:
-                deadline = time.monotonic() + _OUTCOME_WAIT_S
-                while (
-                    source.statistics.dispatches <= baseline_dispatches
-                    and time.monotonic() < deadline
-                ):
-                    time.sleep(0.001)
-                victims = source.worker_pids()
-                rng.shuffle(victims)
-                for pid in victims:
-                    try:
-                        os.kill(pid, signal.SIGKILL)
-                    except ProcessLookupError:  # pragma: no cover
-                        pass
-                report.details["workers_killed"] = len(victims)
-
-            assassin = threading.Thread(
-                target=_assassinate, name="chaos-assassin", daemon=True
+            retries_before = resilient.statistics.retries
+            # Lose the first batch whose leader waited out a window:
+            # racing storm requests fused their pairs into it, so every
+            # one of its waiters depends on the retry.
+            waits = before.window_waits
+            source.arm(
+                lambda: coalescer.statistics.window_waits > waits
             )
-            assassin.start()
             storm = [
                 service.submit(
                     RecommendRequest(
@@ -907,7 +754,6 @@ class ChaosHarness:
                 ticket.result(timeout_s=_OUTCOME_WAIT_S)
                 for ticket in storm
             ]
-            assassin.join(timeout=_OUTCOME_WAIT_S)
             report.details["storm_waiters"] = storm_size
             for response in responses:
                 if response.status != "completed":
@@ -942,16 +788,22 @@ class ChaosHarness:
             deduped = (
                 storm_stats.deduped_pairs - before.deduped_pairs
             )
-            # Raw batch/failure counts depend on where exactly the
-            # kill lands relative to in-flight batches; the report
-            # keeps only their seed-stable truth values.
+            # The resilience gauges are lifetime counters recorded at
+            # completion, so every storm request finishing after the
+            # lost batch carries its retry.
+            retried = max(
+                response.gauges.get("resilience.retries", 0.0)
+                for response in responses
+            )
+            statistics = resilient.statistics
+            # Raw batch counts depend on how the storm's threads
+            # interleave; the report keeps only their seed-stable
+            # truth values.
             report.details["storm_coalesced"] = fused >= 1
             report.details["storm_deduped"] = deduped > 0
-            report.details["batch_lost"] = (
-                source.statistics.worker_failures >= 1
-            )
-            report.details["pool_rebuilt"] = (
-                source.statistics.pool_rebuilds >= 1
+            report.details["lost_batches"] = source.lost_batches
+            report.details["storm_retries"] = (
+                statistics.retries - retries_before
             )
             if fused < 1:
                 report.violations.append(
@@ -964,18 +816,24 @@ class ChaosHarness:
                     "(coalescer.deduped_pairs flat); the storm never "
                     "coalesced"
                 )
-            if source.statistics.worker_failures < 1:
+            if source.lost_batches != 1:
                 report.violations.append(
-                    "killing the pool mid-batch lost no shard batch "
-                    "(worker_failures flat); the kill missed"
+                    f"the backend lost {source.lost_batches} batches, "
+                    "expected exactly the 1 scripted one"
                 )
-            if source.statistics.pool_rebuilds < 1:
+            if retried < 1:
                 report.violations.append(
-                    "the lost batch never forced a pool rebuild"
+                    "no storm response shows resilience.retries; the "
+                    "lost batch was never retried"
+                )
+            if statistics.fallback_calls:
+                report.violations.append(
+                    "the retry should have healed the primary; "
+                    f"{statistics.fallback_calls} call(s) leaked to "
+                    "the fallback chain"
                 )
         finally:
             self._settle_and_check(service, tickets, report)
-            source.close()
         return report
 
     def _run_malformed_lines(self) -> ScenarioReport:

@@ -1,15 +1,13 @@
 """Cross-request pricing coalescer: micro-batching + pair dedup.
 
-PRs 4 and 7 made *single-request* pricing as fast as the hardware
-allows (the vectorized kernel, the process-sharded pair sweep), but a
+The vectorized kernel makes *single-request* pricing fast, but a
 service absorbing heavy concurrent traffic has a different bottleneck:
 N in-flight ``recommend`` requests issue N independent backend
-dispatches that re-price identical ``(query, index)`` pairs and
-under-fill the shard pool.  CoPhy's observation — what-if-call economy
-is *the* scalability lever for index advisors — applies across
-requests exactly as it does within one.  This module is the
-inference-server answer (dynamic batching + prefix-cache sharing)
-applied to the cost kernel:
+dispatches that re-price identical ``(query, index)`` pairs.  CoPhy's
+observation — what-if-call economy is *the* scalability lever for
+index advisors — applies across requests exactly as it does within
+one.  This module is the inference-server answer (dynamic batching +
+prefix-cache sharing) applied to the cost kernel:
 
 * Concurrent callers enqueue their pair-pricing work into a shared
   window instead of dispatching immediately.
@@ -19,7 +17,7 @@ applied to the cost kernel:
 * A **leader** caller drains the window after ``window_s`` (or
   immediately when the service is otherwise idle, or early when the
   ``max_pairs`` cap fills) and dispatches one *fused*
-  ``pair_costs`` batch that actually fills the shard pool.
+  ``pair_costs`` batch.
 * Followers block on the shared items; results (or the batch's
   error — faults propagate per-waiter) complete every request with
   values **bit-identical** to the uncoalesced path.  The kernel
@@ -91,9 +89,7 @@ def waiter_deadline(deadline: Deadline | None):
     """Expose a request's deadline to coalescers on this thread.
 
     The service wraps each request's selection run in this context so
-    every pricing call the run makes can consult the request deadline
-    (best-effort: evaluation worker threads spawned inside the run do
-    not inherit it and simply never detach early).
+    every pricing call the run makes can consult the request deadline.
     """
     previous = getattr(_WAITER_STATE, "deadline", None)
     _WAITER_STATE.deadline = deadline
@@ -311,12 +307,6 @@ class PricingCoalescer:
         """The configured fused-batch pair cap."""
         return self._max_pairs
 
-    @property
-    def parallel_safe(self) -> bool:
-        """Mirrors the wrapped source (the coalescer itself is
-        internally locked and safe under any concurrency)."""
-        return getattr(self._source, "parallel_safe", True)
-
     def pending_pairs(self) -> int:
         """Pairs currently waiting in the window (for tests/health)."""
         with self._cond:
@@ -505,7 +495,7 @@ class PricingCoalescer:
         """Price ``items`` in one fused batch and resolve them.
 
         Caller holds the condition; the backend call itself runs
-        unlocked (it may be an expensive sharded sweep) so arrivals
+        unlocked (it may be an expensive backend sweep) so arrivals
         keep enqueueing into the next window meanwhile.  The whole
         batch is one unit to the resilient layer below — its terminal
         error, if any, resolves every item and is re-raised by each

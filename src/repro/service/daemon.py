@@ -54,7 +54,6 @@ from repro.advisor import (
     coerce_budget,
     run_selection,
 )
-from repro.core.evaluation import EvaluationConfig
 from repro.core.steps import STATUS_DEGRADED
 from repro.core.sweep import sweep_select
 from repro.cost.whatif import CostSource
@@ -388,9 +387,6 @@ class AdvisorService:
         Retry/breaker policy for the shared cost stacks.
     cost_kernel:
         Kernel flavour used when a request does not pick one.
-    shards:
-        Worker-process count for the ``"sharded"`` kernel flavour;
-        ``None`` picks a machine-sized default.
     coalesce:
         Enable the cross-request pricing coalescer (default on): for
         every pair-batch-capable kernel stack a
@@ -448,7 +444,6 @@ class AdvisorService:
         cost_source: CostSource | None = None,
         resilience: ResiliencePolicy | None = None,
         cost_kernel: str = "vectorized",
-        shards: int | None = None,
         coalesce: bool = True,
         batch_window_ms: float = 2.0,
         coalesce_max_pairs: int = 32768,
@@ -530,7 +525,6 @@ class AdvisorService:
             schema,
             cost_source=cost_source,
             policy=resilience,
-            shards=shards,
             facade_source_wrapper=_wrap_facade_source,
             whatif_cache_entries=whatif_cache_entries,
         )
@@ -903,9 +897,6 @@ class AdvisorService:
                     telemetry=telemetry,
                     candidate_width=request.candidate_width,
                     deadline=record.deadline,
-                    evaluation=EvaluationConfig(
-                        parallelism=request.parallelism
-                    ),
                     warm_store=warm_store,
                 )
             wall_seconds = max(0.0, self._clock() - started)
@@ -917,9 +908,6 @@ class AdvisorService:
             kernel_statistics = self._stacks.vectorized_statistics()
             if kernel_statistics is not None:
                 telemetry.record_kernel(kernel_statistics)
-            shard_statistics = self._stacks.shard_statistics()
-            if shard_statistics is not None:
-                telemetry.record_kernel(shard_statistics)
             lifetime = self._account_completion(
                 record,
                 registration,
@@ -1031,9 +1019,6 @@ class AdvisorService:
                     request.budget_shares,
                     telemetry=telemetry,
                     warm_store=warm_store,
-                    evaluation=EvaluationConfig(
-                        parallelism=request.parallelism
-                    ),
                     deadline=record.deadline,
                     on_error="partial",
                     point_callback=on_point,
@@ -1047,9 +1032,6 @@ class AdvisorService:
             kernel_statistics = self._stacks.vectorized_statistics()
             if kernel_statistics is not None:
                 telemetry.record_kernel(kernel_statistics)
-            shard_statistics = self._stacks.shard_statistics()
-            if shard_statistics is not None:
-                telemetry.record_kernel(shard_statistics)
             status = sweep_result.status
             lifetime = self._account_completion(
                 record,
@@ -1243,10 +1225,6 @@ class AdvisorService:
         worker = record.worker
         if worker is not None and worker.is_alive():
             self._pool.abandon(worker)
-            # The abandoned worker may still hold shard-pool futures;
-            # drop the pool so its processes cannot be wedged by work
-            # nobody will collect.  It rebuilds lazily on next use.
-            self._stacks.reset_shard_pool()
         return True
 
     # ------------------------------------------------------------------
@@ -1347,8 +1325,7 @@ class AdvisorService:
 
         JSON-safe: status, admission pressure, worker-pool liveness,
         watchdog counters, snapshot freshness, per-kernel circuit
-        breaker states, and (when the sharded kernel is built) shard
-        worker-pool liveness.
+        breaker states, and the coalescer configuration.
         """
         with self._lock:
             statistics = self._statistics.copy()
@@ -1367,18 +1344,6 @@ class AdvisorService:
                 resilient.statistics.breaker_state.name.lower()
             )
         age = self.snapshot_age_seconds()
-        shard_source = self._stacks.shard_source()
-        shards = None
-        if shard_source is not None:
-            shard_statistics = shard_source.statistics
-            shards = {
-                "workers": shard_source.shards,
-                "alive": shard_source.alive_workers(),
-                "pool_starts": shard_statistics.pool_starts,
-                "pool_rebuilds": shard_statistics.pool_rebuilds,
-                "pool_resets": shard_statistics.pool_resets,
-                "worker_failures": shard_statistics.worker_failures,
-            }
         return {
             "status": status,
             "in_flight": statistics.in_flight,
@@ -1410,7 +1375,6 @@ class AdvisorService:
                 "corruptions": statistics.snapshot_corruptions,
             },
             "breakers": breakers,
-            "shards": shards,
             "coalescer": {
                 "enabled": self._coalesce,
                 "window_ms": self._batch_window_ms,
@@ -1538,7 +1502,6 @@ class AdvisorService:
         self._pool.shutdown(
             wait=wait, timeout_s=self._drain_timeout_s
         )
-        self._stacks.close()
 
     def __enter__(self) -> AdvisorService:
         return self

@@ -87,7 +87,6 @@ _REQUEST_FIELDS = (
     "algorithm",
     "cost_kernel",
     "deadline_s",
-    "parallelism",
     "candidate_width",
     "request_id",
 )
@@ -97,7 +96,6 @@ _SWEEP_FIELDS = (
     "budget_shares",
     "cost_kernel",
     "deadline_s",
-    "parallelism",
     "request_id",
 )
 
@@ -183,34 +181,22 @@ def _workload_name(message: dict) -> str:
     return name
 
 
-def _recommend_request(
-    message: dict, defaults: dict | None
-) -> RecommendRequest:
-    fields = dict(defaults or {})
-    fields.update(
-        {
-            key: message[key]
-            for key in _REQUEST_FIELDS
-            if message.get(key) is not None
-        }
-    )
+def _recommend_request(message: dict) -> RecommendRequest:
+    fields = {
+        key: message[key]
+        for key in _REQUEST_FIELDS
+        if message.get(key) is not None
+    }
     fields["workload"] = _workload_name(message)
     return RecommendRequest(**fields)
 
 
-def _sweep_request(message: dict, defaults: dict | None) -> SweepRequest:
+def _sweep_request(message: dict) -> SweepRequest:
     fields = {
-        key: value
-        for key, value in (defaults or {}).items()
-        if key in _SWEEP_FIELDS
+        key: message[key]
+        for key in _SWEEP_FIELDS
+        if message.get(key) is not None
     }
-    fields.update(
-        {
-            key: message[key]
-            for key in _SWEEP_FIELDS
-            if message.get(key) is not None
-        }
-    )
     spec = message.get("budget_sweep")
     if spec is not None:
         if fields.get("budget_shares"):
@@ -234,9 +220,7 @@ def _sweep_request(message: dict, defaults: dict | None) -> SweepRequest:
     return SweepRequest(**fields)
 
 
-def _handle(
-    service, message: dict, emit, defaults: dict | None
-) -> bool:
+def _handle(service, message: dict, emit) -> bool:
     """Process one message; returns False on shutdown."""
     op = message.get("op")
     if op == "register":
@@ -277,7 +261,7 @@ def _handle(
             }
         )
     elif op == "recommend":
-        request = _recommend_request(message, defaults)
+        request = _recommend_request(message)
         if message.get("stream"):
             ticket = service.submit(request)
             try:
@@ -294,7 +278,7 @@ def _handle(
             response = service.recommend(request)
         emit({"ok": True, "op": op, **response.to_dict()})
     elif op == "sweep":
-        request = _sweep_request(message, defaults)
+        request = _sweep_request(message)
         if message.get("stream"):
             ticket = service.submit_sweep(request)
             try:
@@ -339,16 +323,10 @@ def _handle(
 
 
 def serve_loop(
-    service,
-    input_stream: IO[str],
-    output_stream: IO[str],
-    *,
-    request_defaults: dict | None = None,
+    service, input_stream: IO[str], output_stream: IO[str]
 ) -> int:
     """Serve JSON-lines requests until shutdown or end of input.
 
-    ``request_defaults`` pre-fills recommend-request fields (e.g. the
-    CLI's ``--parallelism``) that individual messages may override.
     Returns the number of messages handled.  The service is closed on
     exit (draining in-flight requests), whatever ended the loop — end
     of input, a ``shutdown`` op, or the client's disconnect.
@@ -370,9 +348,7 @@ def serve_loop(
                             "each input line must be a JSON object"
                         )
                     correlation = message.get("id")
-                    if not _handle(
-                        service, message, emit, request_defaults
-                    ):
+                    if not _handle(service, message, emit):
                         break
                 except json.JSONDecodeError as error:
                     correlation = _salvage_id(line)

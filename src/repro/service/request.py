@@ -46,8 +46,6 @@ class RecommendRequest:
         wait counts against it).  ``None`` uses the service default.
         On expiry the request degrades to a tagged best-so-far result
         instead of failing.
-    parallelism:
-        Worker threads for candidate evaluation within this request.
     candidate_width:
         Maximum index width for the two-step algorithms' candidate set.
     request_id:
@@ -60,17 +58,12 @@ class RecommendRequest:
     algorithm: str = "extend"
     cost_kernel: str | None = None
     deadline_s: float | None = None
-    parallelism: int = 1
     candidate_width: int = 4
     request_id: str | None = None
 
     def __post_init__(self) -> None:
         if not self.workload:
             raise ExperimentError("request needs a workload name")
-        if self.parallelism < 1:
-            raise BudgetError(
-                f"parallelism must be >= 1, got {self.parallelism}"
-            )
         if self.deadline_s is not None and self.deadline_s < 0:
             raise BudgetError(
                 f"deadline_s must be >= 0, got {self.deadline_s}"
@@ -138,7 +131,7 @@ class SweepRequest:
     budget_shares:
         The Eq. 10 shares to answer; strict request inputs — each must
         lie in ``(0, 1]``, duplicates are rejected.
-    cost_kernel / deadline_s / parallelism / request_id:
+    cost_kernel / deadline_s / request_id:
         As on :class:`RecommendRequest`.  On deadline expiry the sweep
         degrades to a tagged *partial* frontier of the points already
         answered instead of failing.
@@ -148,7 +141,6 @@ class SweepRequest:
     budget_shares: tuple[float, ...] = ()
     cost_kernel: str | None = None
     deadline_s: float | None = None
-    parallelism: int = 1
     request_id: str | None = None
 
     def __post_init__(self) -> None:
@@ -159,10 +151,6 @@ class SweepRequest:
             "budget_shares",
             normalize_budget_shares(self.budget_shares),
         )
-        if self.parallelism < 1:
-            raise BudgetError(
-                f"parallelism must be >= 1, got {self.parallelism}"
-            )
         if self.deadline_s is not None and self.deadline_s < 0:
             raise BudgetError(
                 f"deadline_s must be >= 0, got {self.deadline_s}"

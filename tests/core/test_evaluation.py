@@ -8,14 +8,12 @@ import pytest
 from repro.core.evaluation import (
     BenefitTable,
     CandidateMove,
-    EvaluationConfig,
     EvaluationStatistics,
     price_columns,
 )
 from repro.core.steps import StepKind
 from repro.cost.model import CostModel
 from repro.cost.whatif import AnalyticalCostSource, WhatIfOptimizer
-from repro.exceptions import BudgetError
 from repro.indexes.index import Index
 
 
@@ -57,28 +55,6 @@ def _move(
     )
 
 
-class TestEvaluationConfig:
-    def test_rejects_nonpositive_parallelism(self):
-        with pytest.raises(BudgetError):
-            EvaluationConfig(parallelism=0)
-        with pytest.raises(BudgetError):
-            EvaluationConfig(parallelism=-2)
-
-    def test_effective_parallelism_respects_backend_safety(self):
-        class Unsafe:
-            parallel_safe = False
-
-        class Safe:
-            parallel_safe = True
-
-        config = EvaluationConfig(parallelism=4)
-        assert config.effective_parallelism(Safe()) == 4
-        assert config.effective_parallelism(Unsafe()) == 1
-        # Absent attribute means safe.
-        assert config.effective_parallelism(object()) == 4
-        assert EvaluationConfig().effective_parallelism(Safe()) == 1
-
-
 class TestEvaluationStatistics:
     def test_reuse_rate(self):
         statistics = EvaluationStatistics(evaluations=25, reused=75)
@@ -96,7 +72,6 @@ class TestEvaluationStatistics:
             invalidations=7,
             priced_candidates=5,
             pruned_candidates=2,
-            parallelism=4,
         ).publish(registry)
         snapshot = registry.snapshot()
         assert snapshot["evaluation.rounds"] == 3
@@ -104,7 +79,6 @@ class TestEvaluationStatistics:
         assert snapshot["evaluation.invalidations"] == 7
         assert snapshot["evaluation.priced_candidates"] == 5
         assert snapshot["evaluation.pruned_candidates"] == 2
-        assert snapshot["evaluation.parallelism"] == 4
 
 
 class TestCandidateMove:
@@ -260,10 +234,7 @@ class TestBenefitTable:
 
 
 class TestPriceColumns:
-    @pytest.mark.parametrize("parallelism", [1, 4])
-    def test_warms_facade_cache(
-        self, tiny_workload, tiny_schema, parallelism
-    ):
+    def test_warms_facade_cache(self, tiny_workload, tiny_schema):
         class Counting:
             def __init__(self, inner):
                 self.inner = inner
@@ -280,12 +251,7 @@ class TestPriceColumns:
         indexes = [
             Index.of(tiny_schema, (attribute,)) for attribute in range(5)
         ]
-        price_columns(
-            optimizer,
-            tiny_workload.queries,
-            indexes,
-            parallelism=parallelism,
-        )
+        price_columns(optimizer, tiny_workload.queries, indexes)
         warmed = source.calls
         assert warmed > 0
         # Re-pricing afterwards is pure cache hits.
@@ -294,27 +260,3 @@ class TestPriceColumns:
                 if index.is_applicable_to(query):
                     optimizer.index_cost(query, index)
         assert source.calls == warmed
-
-    def test_serial_fallback_for_unsafe_backend(
-        self, tiny_workload, tiny_schema
-    ):
-        class Unsafe:
-            parallel_safe = False
-
-            def __init__(self, inner):
-                self.inner = inner
-
-            def query_cost(self, query, index):
-                return self.inner.query_cost(query, index)
-
-        optimizer = WhatIfOptimizer(
-            Unsafe(AnalyticalCostSource(CostModel(tiny_schema)))
-        )
-        assert optimizer.parallel_safe is False
-        # Must not crash; runs serially.
-        price_columns(
-            optimizer,
-            tiny_workload.queries,
-            [Index.of(tiny_schema, (0,))],
-            parallelism=8,
-        )

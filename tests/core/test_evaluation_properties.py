@@ -3,9 +3,9 @@
 The incremental candidate-evaluation engine must be *observationally
 identical* to the exhaustive re-evaluation loop it replaced: same step
 sequence, same final configuration, same memory, same cost — for every
-workload, budget, and parallelism level.  These tests hammer that
-guarantee with randomized workloads drawn from the same Hypothesis
-strategies as the integration property suite.
+workload and budget.  These tests hammer that guarantee with randomized
+workloads drawn from the same Hypothesis strategies as the integration
+property suite.
 """
 
 from __future__ import annotations
@@ -47,21 +47,18 @@ def _assert_equivalent(reference, candidate):
 
 
 class TestIncrementalEquivalence:
-    """naive_evaluation=True is the ground truth; everything else must
-    match it exactly.  2 parallelism levels x 100 examples = 200 cases,
-    plus the variant/frugality suites below."""
+    """``EvaluationConfig(naive=True)`` is the ground truth; the
+    incremental engine must match it exactly.  100 examples, plus the
+    variant/frugality suites below."""
 
-    @pytest.mark.parametrize("parallelism", [1, 4])
     @given(
         workload=random_workloads(),
         share=st.floats(min_value=0.0, max_value=0.6),
     )
     @settings(max_examples=100, deadline=None)
-    def test_matches_naive_scan(self, workload, share, parallelism):
+    def test_matches_naive_scan(self, workload, share):
         naive, _ = _run(workload, share, EvaluationConfig(naive=True))
-        incremental, _ = _run(
-            workload, share, EvaluationConfig(parallelism=parallelism)
-        )
+        incremental, _ = _run(workload, share, EvaluationConfig())
         _assert_equivalent(naive, incremental)
 
     @given(
@@ -101,20 +98,25 @@ class TestIncrementalEquivalence:
         )
 
 
-class TestAdvisorEscapeHatch:
-    def test_recommend_naive_evaluation_flag(self, small_workload):
-        """The advisor-level escape hatch produces identical output."""
-        from repro.advisor import IndexAdvisor
+class TestRunSelectionOracle:
+    def test_naive_config_matches_incremental(self, small_workload):
+        """The oracle reached through ``run_selection`` (the advisor's
+        and service's selection engine) produces identical output."""
+        from repro.advisor import run_selection
+        from repro.cost.kernel import VectorizedCostSource
 
+        budget = relative_budget(small_workload.schema, 0.2)
         results = {}
         for naive in (False, True):
-            recommendation = IndexAdvisor(small_workload.schema).recommend(
+            extend = run_selection(
                 small_workload,
-                budget_share=0.2,
+                budget,
                 algorithm="extend",
-                naive_evaluation=naive,
+                optimizer=WhatIfOptimizer(
+                    VectorizedCostSource(small_workload.schema)
+                ),
+                evaluation=EvaluationConfig(naive=naive),
             )
-            extend = recommendation.result
             results[naive] = (
                 extend.step_trace(),
                 extend.configuration_signature(),

@@ -21,12 +21,10 @@ from repro.core.sweep import (
     SweepStatistics,
     normalize_budget_shares,
     parse_budget_sweep,
-    sweep_points_parallel,
     sweep_select,
 )
 from repro.cost.kernel import VectorizedCostSource
 from repro.cost.model import CostModel
-from repro.cost.shard import ShardedCostSource
 from repro.cost.whatif import AnalyticalCostSource, WhatIfOptimizer
 from repro.exceptions import ExperimentError
 from repro.indexes.memory import relative_budget
@@ -338,28 +336,6 @@ class TestWithWarmStore:
         assert clone.last_evaluation_statistics is None
 
 
-class TestSweepPointsParallel:
-    @pytest.mark.parametrize("parallelism", [1, 3])
-    def test_matches_serial_order(self, parallelism):
-        results = sweep_points_parallel(
-            (0.4, 0.1, 0.2),
-            lambda share: share * 2,
-            parallelism=parallelism,
-        )
-        assert results == [0.8, 0.2, 0.4]
-
-    def test_worker_error_propagates(self):
-        def runner(share):
-            if share == 0.2:
-                raise RuntimeError("boom")
-            return share
-
-        with pytest.raises(RuntimeError):
-            sweep_points_parallel(
-                (0.4, 0.2), runner, parallelism=2
-            )
-
-
 def _grids():
     return st.lists(
         st.floats(min_value=0.01, max_value=1.0),
@@ -396,31 +372,6 @@ class TestSweepEquivalenceProperties:
         sweep = sweep_select(
             workload,
             _optimizer(workload, VectorizedCostSource(workload.schema)),
-            shares,
-        )
-        for point in sweep.points:
-            _assert_point_equivalent(
-                naive[point.budget_share], point.result
-            )
-
-    @given(workload=random_workloads(), shares=_grids())
-    @settings(max_examples=10, deadline=None)
-    def test_sharded_kernel_inline(self, workload, shares):
-        naive = _naive_frontier(
-            workload,
-            shares,
-            source_factory=lambda: ShardedCostSource(
-                workload.schema, shards=2, inline=True
-            ),
-        )
-        sweep = sweep_select(
-            workload,
-            _optimizer(
-                workload,
-                ShardedCostSource(
-                    workload.schema, shards=2, inline=True
-                ),
-            ),
             shares,
         )
         for point in sweep.points:

@@ -1,11 +1,8 @@
-"""Engine/fan-out coverage for the experiment budget sweeps.
+"""Engine coverage for the experiment budget sweeps.
 
 ``sweep_extend`` must produce the same series through the shared
 multi-budget engine as through the historical naive per-budget loop
-(the engine is a pure performance knob), and the independent-series
-sweeps (``sweep_cophy``, ``sweep_heuristic``) must assemble
-bit-identical series whether their points run serially or fanned out
-over threads.
+(the engine is a pure performance knob).
 """
 
 from __future__ import annotations
@@ -16,12 +13,8 @@ from repro.exceptions import ExperimentError
 from repro.experiments.common import (
     analytic_optimizer,
     budget_grid,
-    sweep_cophy,
     sweep_extend,
-    sweep_heuristic,
 )
-from repro.heuristics.rules import FrequencyHeuristic
-from repro.indexes.candidates import syntactically_relevant_candidates
 
 SHARES = (0.1, 0.3, 0.6)
 
@@ -108,67 +101,3 @@ class TestBudgetGridValidation:
     def test_rejects_out_of_range_grids(self, low, high):
         with pytest.raises(ExperimentError):
             budget_grid(low, high, 5)
-
-
-class TestIndependentSeriesFanOut:
-    def test_heuristic_parallel_matches_serial(self, small_workload):
-        optimizer = analytic_optimizer(small_workload)
-        candidates = syntactically_relevant_candidates(
-            small_workload, 2
-        )
-        serial = sweep_heuristic(
-            small_workload,
-            SHARES,
-            candidates,
-            FrequencyHeuristic(optimizer),
-        )
-        parallel = sweep_heuristic(
-            small_workload,
-            SHARES,
-            candidates,
-            FrequencyHeuristic(optimizer),
-            point_parallelism=3,
-            heuristic_factory=lambda: FrequencyHeuristic(
-                analytic_optimizer(small_workload)
-            ),
-        )
-        assert parallel.points == serial.points
-        assert len(parallel.point_whatif_calls) == len(SHARES)
-
-    def test_heuristic_parallel_without_factory_stays_serial(
-        self, small_workload
-    ):
-        optimizer = analytic_optimizer(small_workload)
-        candidates = syntactically_relevant_candidates(
-            small_workload, 2
-        )
-        series = sweep_heuristic(
-            small_workload,
-            SHARES,
-            candidates,
-            FrequencyHeuristic(optimizer),
-            point_parallelism=4,
-        )
-        assert len(series.points) == len(SHARES)
-
-    def test_cophy_parallel_matches_serial(self, small_workload):
-        candidates = syntactically_relevant_candidates(
-            small_workload, 2
-        )
-        serial = sweep_cophy(
-            small_workload,
-            analytic_optimizer(small_workload),
-            (0.2, 0.5),
-            candidates,
-            name="C2",
-        )
-        parallel = sweep_cophy(
-            small_workload,
-            analytic_optimizer(small_workload),
-            (0.2, 0.5),
-            candidates,
-            name="C2",
-            point_parallelism=2,
-        )
-        assert parallel.points == serial.points
-        assert parallel.notes == serial.notes

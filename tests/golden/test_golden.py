@@ -56,15 +56,10 @@ def _snapshot(result: SelectionResult) -> dict:
     }
 
 
-def _sweep(
-    workload,
-    algorithms: dict,
-    shares: tuple[float, ...],
-    make_optimizer=analytic_optimizer,
-) -> dict:
+def _sweep(workload, algorithms: dict, shares: tuple[float, ...]) -> dict:
     runs: dict[str, dict] = {}
     for name, build in algorithms.items():
-        optimizer = make_optimizer(workload)
+        optimizer = analytic_optimizer(workload)
         runs[name] = {
             f"w={share}": _snapshot(
                 build(optimizer).select(
@@ -76,7 +71,7 @@ def _sweep(
     return runs
 
 
-def _fig2_snapshot(make_optimizer=analytic_optimizer) -> dict:
+def _fig2_snapshot() -> dict:
     workload = generate_workload(FIG2_CONFIG)
     return {
         "workload": (
@@ -94,12 +89,11 @@ def _fig2_snapshot(make_optimizer=analytic_optimizer) -> dict:
                 ),
             },
             (0.1, 0.2),
-            make_optimizer,
         ),
     }
 
 
-def _fig4_snapshot(make_optimizer=analytic_optimizer) -> dict:
+def _fig4_snapshot() -> dict:
     workload = generate_enterprise_workload(FIG4_CONFIG)
     return {
         "workload": "fig4 scaled: enterprise workload at scale=0.02, seed 500",
@@ -107,7 +101,6 @@ def _fig4_snapshot(make_optimizer=analytic_optimizer) -> dict:
             workload,
             {"extend": ExtendAlgorithm},
             (0.05, 0.1),
-            make_optimizer,
         ),
     }
 
@@ -154,82 +147,4 @@ def test_golden(name: str, update_golden: bool) -> None:
             "If the change is intentional, refresh the fixture with "
             "`pytest tests/golden --update-golden` and commit it.\n"
             + diff
-        )
-
-
-# ----------------------------------------------------------------------
-# The sharded kernel reproduces the SAME committed snapshots
-# ----------------------------------------------------------------------
-
-
-def _sharded_optimizer(workload, fault_every: int | None = None):
-    """A what-if facade over the process-sharded backend.
-
-    Runs in ``inline`` mode (the exact worker code path, in-process,
-    deterministic) with ``min_dispatch_pairs=1`` so even these scaled
-    workloads genuinely shard across chunk boundaries.  With
-    ``fault_every`` set, every n-th chunk "dies" and is recovered by
-    the serial reprice / resilience-retry path — the traces must STILL
-    match the committed fixtures byte-for-byte.
-    """
-    from repro.cost.shard import ShardedCostSource
-    from repro.cost.whatif import WhatIfOptimizer
-    from repro.resilience import ResiliencePolicy
-    from repro.resilience.source import ResilientCostSource
-
-    source = ShardedCostSource(
-        workload.schema, shards=3, min_dispatch_pairs=1, inline=True
-    )
-    if fault_every is None:
-        return WhatIfOptimizer(source)
-    original = source._run_inline
-    counter = {"chunks": 0}
-
-    def flaky(state, payload):
-        counter["chunks"] += 1
-        if counter["chunks"] % fault_every == 0:
-            raise OSError("injected shard worker death")
-        return original(state, payload)
-
-    source._run_inline = flaky
-    resilient = ResilientCostSource(
-        source,
-        policy=ResiliencePolicy(max_retries=3, backoff_base_s=0.0),
-    )
-    return WhatIfOptimizer(resilient)
-
-
-@pytest.mark.parametrize("fault_every", [None, 3])
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_golden_reproduced_under_sharded_kernel(
-    name: str, fault_every: int | None
-) -> None:
-    """``--cost-kernel sharded`` must replay the committed traces
-    byte-for-byte — healthy AND under injected worker death."""
-    path = GOLDEN_DIR / f"{name}.json"
-    if not path.exists():
-        pytest.fail(
-            f"golden fixture {path} is missing; create it with "
-            "`pytest tests/golden --update-golden`"
-        )
-    builders = {
-        "fig2_extend": _fig2_snapshot,
-        "fig4_extend": _fig4_snapshot,
-    }
-    actual = builders[name](
-        lambda workload: _sharded_optimizer(workload, fault_every)
-    )
-    expected = json.loads(path.read_text(encoding="utf-8"))
-    if actual != expected:
-        diff = "".join(
-            difflib.unified_diff(
-                _render(expected),
-                _render(actual),
-                fromfile=f"golden/{name}.json (committed)",
-                tofile=f"golden/{name}.json (sharded kernel)",
-            )
-        )
-        pytest.fail(
-            "the sharded kernel drifted from the golden snapshot "
-            f"(fault_every={fault_every}).\n" + diff
         )

@@ -25,7 +25,6 @@ def test_unknown_scenario_rejected():
     [
         "malformed_lines",
         "clock_skew",
-        "shard_worker_death",
         "coalescer_waiter_storm",
     ],
 )

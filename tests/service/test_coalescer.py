@@ -53,8 +53,6 @@ def _pairs_of(workload):
 class _RecordingSource:
     """Analytic backend that records every fused batch it receives."""
 
-    parallel_safe = True
-
     def __init__(self, schema, *, gate=None, fail_on=()):
         self._inner = AnalyticalCostSource(CostModel(schema))
         self._gate = gate
@@ -143,13 +141,6 @@ class TestConstruction:
         assert callable(full.query_costs)
         assert callable(full.sequential_costs)
         assert callable(full.maintenance_costs)
-
-    def test_mirrors_parallel_safe(self, small_workload):
-        source = _RecordingSource(small_workload.schema)
-        source.parallel_safe = False
-        assert PricingCoalescer(source).parallel_safe is False
-        source.parallel_safe = True
-        assert PricingCoalescer(source).parallel_safe is True
 
 
 class TestWaiterDeadline:
@@ -572,8 +563,6 @@ class TestServiceIntegration:
         kernel = VectorizedCostSource(small_workload.schema)
 
         class _GatedKernel:
-            parallel_safe = True
-
             def query_cost(self, query, index):
                 return kernel.query_cost(query, index)
 
@@ -687,8 +676,6 @@ class TestServiceIntegration:
 
         class _HoldingSource:
             """Kernel whose later fused batches stall on a gate."""
-
-            parallel_safe = True
 
             def __init__(self):
                 self.calls = 0

@@ -10,15 +10,13 @@ import pytest
 from repro.service import AdvisorService, serve_loop
 
 
-def run_protocol(service, messages, **kwargs):
+def run_protocol(service, messages):
     lines = "\n".join(
         message if isinstance(message, str) else json.dumps(message)
         for message in messages
     )
     output = io.StringIO()
-    handled = serve_loop(
-        service, io.StringIO(lines + "\n"), output, **kwargs
-    )
+    handled = serve_loop(service, io.StringIO(lines + "\n"), output)
     responses = [
         json.loads(line)
         for line in output.getvalue().splitlines()
@@ -123,29 +121,6 @@ class TestOps:
         )
         assert handled == 1
         assert len(responses) == 1
-
-    def test_request_defaults_are_overridable(self, service):
-        _, responses = run_protocol(
-            service,
-            [
-                {
-                    "op": "recommend",
-                    "workload": "base",
-                    "budget_share": 0.5,
-                },
-                {
-                    "op": "recommend",
-                    "workload": "base",
-                    "budget_share": 0.5,
-                    "parallelism": 1,
-                },
-                {"op": "shutdown"},
-            ],
-            request_defaults={"parallelism": 2},
-        )
-        first, second, _ = responses
-        assert first["gauges"]["evaluation.parallelism"] == 2
-        assert second["gauges"]["evaluation.parallelism"] == 1
 
 
 class TestErrors:

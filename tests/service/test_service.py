@@ -35,8 +35,6 @@ def service(small_workload):
 class _GateSource:
     """Scalar analytic source whose every call waits for an event."""
 
-    parallel_safe = True
-
     def __init__(self, schema, gate: threading.Event) -> None:
         self._inner = AnalyticalCostSource(CostModel(schema))
         self._gate = gate
@@ -366,8 +364,6 @@ class TestObservability:
 
     def test_failed_request_counted_and_raised(self, small_workload):
         class _BoomSource:
-            parallel_safe = True
-
             def query_cost(self, query, index):
                 raise ValueError("boom")
 
@@ -399,10 +395,6 @@ class TestObservability:
     def test_request_validation(self):
         with pytest.raises(ExperimentError):
             RecommendRequest(workload="", budget_share=0.3)
-        with pytest.raises(Exception):
-            RecommendRequest(
-                workload="w", budget_share=0.3, parallelism=0
-            )
         with pytest.raises(Exception):
             RecommendRequest(
                 workload="w", budget_share=0.3, deadline_s=-1.0

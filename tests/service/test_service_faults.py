@@ -119,18 +119,3 @@ class TestFaultyService:
                 response.gauges["resilience.attempts"]
                 >= response.gauges["resilience.retries"]
             )
-
-    def test_fault_injector_disables_parallel_evaluation(
-        self, small_workload
-    ):
-        """The seeded injector is order-dependent, so the engine must
-        fall back to serial even when the request asks for threads."""
-        service, _ = faulty_service(small_workload, seed=7)
-        with service:
-            response = service.recommend(
-                RecommendRequest(
-                    workload="w", budget_share=0.3, parallelism=4
-                )
-            )
-        assert response.status == "completed"
-        assert response.gauges["evaluation.parallelism"] == 1

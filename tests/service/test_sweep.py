@@ -47,11 +47,7 @@ class TestSweepRequestValidation:
         with pytest.raises(ExperimentError):
             SweepRequest(workload="w", budget_shares=bad)
 
-    def test_rejects_bad_parallelism_and_deadline(self):
-        with pytest.raises(BudgetError):
-            SweepRequest(
-                workload="w", budget_shares=SHARES, parallelism=0
-            )
+    def test_rejects_bad_deadline(self):
         with pytest.raises(BudgetError):
             SweepRequest(
                 workload="w", budget_shares=SHARES, deadline_s=-1.0

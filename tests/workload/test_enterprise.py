@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cost.kernel import VectorizedCostSource
+from repro.cost.whatif import WhatIfOptimizer
 from repro.exceptions import WorkloadError
+from repro.indexes.candidates import syntactically_relevant_candidates
 from repro.workload.enterprise import (
     EnterpriseConfig,
     generate_enterprise_workload,
@@ -96,9 +99,8 @@ class TestEnterpriseWorkload:
 class TestEnterprisePaperScale:
     """Distributional invariants at ``scale=1.0`` — the published
     Section IV-A aggregates the generator exists to reproduce.  The
-    full-enterprise pricing path (``--cost-kernel sharded``,
-    ``bench_enterprise``) consumes exactly this workload; these tests
-    pin it against generator drift."""
+    whole-enterprise pricing sweep consumes exactly this workload;
+    these tests pin it against generator drift."""
 
     @pytest.fixture(scope="class")
     def workload(self):
@@ -147,6 +149,15 @@ class TestEnterprisePaperScale:
     def test_every_table_has_attributes(self, workload):
         for table in workload.schema.tables:
             assert len(table.attributes) >= 1
+
+    def test_whole_enterprise_cost_table_shape(self, workload):
+        """Every width-<=4 syntactically relevant candidate priced
+        against every query it applies to."""
+        candidates = syntactically_relevant_candidates(workload, 4)
+        assert len(candidates) == 10_569
+        optimizer = WhatIfOptimizer(VectorizedCostSource(workload.schema))
+        table = optimizer.cost_table(workload, candidates)
+        assert len(table) == 153_195
 
     def test_deterministic_at_paper_scale(self, workload):
         again = generate_enterprise_workload(EnterpriseConfig())
