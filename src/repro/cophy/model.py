@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from repro.cost.whatif import WhatIfOptimizer
+from repro.cost.whatif import Applicability, WhatIfOptimizer
 from repro.exceptions import SolverError
 from repro.indexes.index import Index
 from repro.indexes.memory import index_memory
@@ -114,26 +114,13 @@ def build_problem(
             (index.table_name, index.leading_attribute), []
         ).append(index)
 
+    sequential = optimizer.sequential_costs(queries).tolist()
     if getattr(optimizer, "supports_batch", False):
-        # Warm the facade one candidate column at a time (the bucketed
-        # loop below prices exactly the applicable pairs, so it then
-        # runs on pure cache hits with identical accounting).
-        sequential = [
-            float(cost)
-            for cost in optimizer.sequential_costs(queries)
-        ]
-        for index in candidates:
-            column = [
-                query
-                for query in queries
-                if index.is_applicable_to(query)
-            ]
-            if column:
-                optimizer.index_costs(column, index)
-    else:
-        sequential = [
-            optimizer.sequential_cost(query) for query in queries
-        ]
+        # Warm the facade in bounded pair batches (the bucketed loop
+        # below prices exactly the applicable pairs, so it then runs on
+        # pure cache hits with identical accounting).
+        for _ in Applicability(queries).price(optimizer, candidates):
+            pass
     applicable: dict[int, list[tuple[Index, float]]] = {
         position: [] for position in range(len(queries))
     }

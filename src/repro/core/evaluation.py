@@ -47,6 +47,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from repro.cost.whatif import Applicability
 from repro.indexes.index import Index
 
 __all__ = [
@@ -753,45 +754,13 @@ class BenefitTable:
 def price_columns(
     optimizer, queries: Sequence, indexes: Iterable[Index]
 ) -> None:
-    """Warm the what-if facade for every ``(query, index)`` column.
+    """Warm the what-if facade for every applicable ``(query, index)``.
 
     Used by the performance heuristics, which need full per-query cost
     columns for many candidates before their (serial, deterministic)
-    ranking loops: those loops then run on pure cache hits.  Batched
-    when the backend supports it; the facade accounting matches the
-    per-pair loop exactly either way.
+    ranking loops: those loops then run on pure cache hits.  Pairs are
+    priced in bounded batches (:meth:`Applicability.price`); the facade
+    accounting matches the per-pair loop exactly on every backend.
     """
-    candidates = [index for index in dict.fromkeys(indexes)]
-    if getattr(optimizer, "supports_pair_batch", False):
-        # Whole-table pair pricing: every applicable (query, candidate)
-        # pair flattens into one backend sweep.  Attribute ids are
-        # owned by one table, so leading-attribute membership is
-        # exactly Index.is_applicable_to.
-        by_leading: dict[int, list] = {}
-        for query in queries:
-            for attribute_id in query.attributes:
-                by_leading.setdefault(attribute_id, []).append(query)
-        optimizer.pair_costs(
-            [
-                (query, index)
-                for index in candidates
-                for query in by_leading.get(index.leading_attribute, ())
-            ]
-        )
-        return
-    if getattr(optimizer, "supports_batch", False):
-        # The compiled kernel prices a whole applicable column in one
-        # batched call.
-        for index in candidates:
-            applicable = [
-                query
-                for query in queries
-                if index.is_applicable_to(query)
-            ]
-            if applicable:
-                optimizer.index_costs(applicable, index)
-        return
-    for index in candidates:
-        for query in queries:
-            if index.is_applicable_to(query):
-                optimizer.index_cost(query, index)
+    for _ in Applicability(queries).price(optimizer, dict.fromkeys(indexes)):
+        pass

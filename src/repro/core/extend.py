@@ -60,7 +60,7 @@ from repro.core.steps import (
     SelectionResult,
     StepKind,
 )
-from repro.cost.whatif import WhatIfOptimizer
+from repro.cost.whatif import Applicability, WhatIfOptimizer
 from repro.exceptions import BudgetError
 from repro.indexes.configuration import IndexConfiguration
 from repro.indexes.index import Index, canonical_index
@@ -493,15 +493,7 @@ class _ConstructionState:
         self._best_index: list[Index | None] = [None] * len(queries)
 
         # Inverted lists: attribute id -> positions of queries using it.
-        self._queries_with: dict[int, np.ndarray] = {}
-        by_attribute: dict[int, list[int]] = {}
-        for position, query in enumerate(queries):
-            for attribute_id in query.attributes:
-                by_attribute.setdefault(attribute_id, []).append(position)
-        for attribute_id, positions in by_attribute.items():
-            self._queries_with[attribute_id] = np.array(
-                positions, dtype=np.intp
-            )
+        self._queries_with = Applicability(queries).by_attribute
         self._query_attribute_sets = [
             query.attributes for query in queries
         ]

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.core.steps import STATUS_DEGRADED, SelectionResult
-from repro.cost.whatif import WhatIfOptimizer
+from repro.cost.whatif import Applicability, WhatIfOptimizer
 from repro.exceptions import BudgetError
 from repro.indexes.configuration import IndexConfiguration
 from repro.indexes.index import Index
@@ -40,59 +40,36 @@ class _CostCache:
     """Per-(query-position, index) cost matrix fed lazily by the facade."""
 
     def __init__(self, workload: Workload, optimizer: WhatIfOptimizer):
-        self._workload = workload
-        self._optimizer = optimizer
+        self.optimizer = optimizer
         self._queries = workload.queries
+        self.applicability = Applicability(self._queries)
         self.weights = np.array(
             [query.frequency for query in self._queries], dtype=np.float64
         )
-        self._batched = getattr(optimizer, "supports_batch", False)
-        if self._batched:
-            self.sequential = np.asarray(
-                optimizer.sequential_costs(self._queries),
-                dtype=np.float64,
-            )
-        else:
-            self.sequential = np.array(
-                [
-                    optimizer.sequential_cost(query)
-                    for query in self._queries
-                ],
-                dtype=np.float64,
-            )
+        self.sequential = np.asarray(
+            optimizer.sequential_costs(self._queries), dtype=np.float64
+        )
         self._columns: dict[Index, np.ndarray] = {}
         self._maintenance: dict[Index, float] = {}
 
     def column(self, index: Index) -> np.ndarray:
         """Vector of read-part ``f_j(k)`` per query (sequential if n/a)."""
         cached = self._columns.get(index)
-        if cached is not None:
-            return cached
-        if self._batched:
-            # One backend batch for the applicable rows; inapplicable
-            # rows reuse the cached sequential vector, exactly like the
-            # per-pair loop below (no facade traffic for them).
-            positions = [
-                position
-                for position, query in enumerate(self._queries)
-                if index.is_applicable_to(query)
-            ]
-            column = self.sequential.copy()
-            if positions:
-                column[positions] = self._optimizer.index_costs(
-                    [self._queries[position] for position in positions],
-                    index,
-                )
-        else:
-            column = np.array(
-                [
-                    self._optimizer.index_cost(query, index)
-                    if index.is_applicable_to(query)
-                    else self.sequential[position]
-                    for position, query in enumerate(self._queries)
-                ],
-                dtype=np.float64,
+        if cached is None:
+            [(_, positions, costs)] = self.applicability.price(
+                self.optimizer, (index,)
             )
+            cached = self.keep(index, positions, costs)
+        return cached
+
+    def keep(
+        self, index: Index, positions: np.ndarray, costs: np.ndarray
+    ) -> np.ndarray:
+        """Install ``index``'s column from its costs at ``positions``;
+        other rows reuse the sequential vector, exactly like
+        :meth:`WhatIfOptimizer.index_cost` (no facade traffic)."""
+        column = self.sequential.copy()
+        column[positions] = costs
         self._columns[index] = column
         return column
 
@@ -103,7 +80,7 @@ class _CostCache:
             return cached
         total = sum(
             query.frequency
-            * self._optimizer.maintenance_cost(query, index)
+            * self.optimizer.maintenance_cost(query, index)
             for query in self._queries
             if not query.is_select
         )
@@ -128,6 +105,45 @@ class _CostCache:
         return best
 
 
+def _prune_pool(
+    cache: _CostCache,
+    selected: set[Index],
+    pool: list[Index],
+    max_pool: int,
+    deadline: Deadline,
+) -> list[Index] | None:
+    """The ``max_pool`` candidates that add most on top of ``selected``
+    (against the no-index baseline, redundant variants of covered hot
+    queries would win), stable in pool order; ``None`` once ``deadline``
+    expires, checked as each candidate's costs arrive.  Candidates are
+    priced only where they apply; only the survivors get dense columns.
+    """
+    base = cache.per_query_best(
+        sorted(
+            selected, key=lambda index: (index.table_name, index.attributes)
+        )
+    )
+    # Off its applicable rows a candidate costs f_j(0) >= base, so its
+    # gain there is exactly 0 and the dot over this vector equals the
+    # one over a dense column, bit for bit.
+    gain = np.zeros_like(base)
+    scores: list[float] = []
+    sparse: list[tuple[np.ndarray, np.ndarray]] = []
+    for _, positions, costs in cache.applicability.price(
+        cache.optimizer, pool
+    ):
+        if deadline.expired:
+            return None
+        gain[positions] = np.maximum(base[positions] - costs, 0.0)
+        scores.append(-float(np.dot(cache.weights, gain)))
+        gain[positions] = 0.0
+        sparse.append((positions, costs))
+    kept = sorted(range(len(pool)), key=scores.__getitem__)[:max_pool]
+    for position in kept:
+        cache.keep(pool[position], *sparse[position])
+    return [pool[position] for position in kept]
+
+
 def swap_local_search(
     workload: Workload,
     optimizer: WhatIfOptimizer,
@@ -148,17 +164,17 @@ def swap_local_search(
         The starting selection (from Extend or any heuristic).
     candidate_pool:
         Indexes that may be swapped in.  The pool is pruned to the
-        ``max_pool`` candidates with the largest standalone benefit to
-        bound the search.
+        ``max_pool`` candidates with the largest benefit on top of the
+        starting selection to bound the search.
     max_rounds:
         Upper bound on improving swaps (each round changes the
         configuration, so convergence is guaranteed anyway — costs
         strictly decrease).
     deadline:
         Optional wall-clock budget.  The search stops at the next round
-        boundary once expired and the result is tagged ``degraded``
-        (every completed swap already improved on the input, so
-        stopping early is always safe).
+        boundary, or between pool-pricing batches, once expired and the
+        result is tagged ``degraded`` (every completed swap already
+        improved on the input, so stopping early is always safe).
 
     Returns
     -------
@@ -196,30 +212,9 @@ def swap_local_search(
             pool = [index for index in dict.fromkeys(candidate_pool)]
             pool = [index for index in pool if index not in selected]
             if len(pool) > max_pool:
-                # Rank candidates by what they could still add on top of
-                # the current selection — ranking against the no-index
-                # baseline would keep redundant variants of
-                # already-covered hot queries and drop the candidates
-                # that cover something new.
-                base = cache.per_query_best(
-                    sorted(
-                        selected,
-                        key=lambda index: (
-                            index.table_name,
-                            index.attributes,
-                        ),
-                    )
-                )
-                scored = sorted(
-                    pool,
-                    key=lambda index: -float(
-                        np.dot(
-                            cache.weights,
-                            np.maximum(base - cache.column(index), 0.0),
-                        )
-                    ),
-                )
-                pool = scored[:max_pool]
+                pool = _prune_pool(cache, selected, pool, max_pool, deadline)
+                if pool is None:  # the deadline expired while ranking
+                    status, pool = STATUS_DEGRADED, []
             for index in pool:
                 memory[index] = index_memory(schema, index)
 

@@ -13,6 +13,9 @@ number of such calls (≈ ``2·Q·q̄`` for Algorithm 1 versus
   (cache hits are free, exactly like the caching the paper describes in
   Fig. 1's notes: "required what-if calls from previous steps can be
   cached").
+* :class:`Applicability` — which queries each candidate applies to, and
+  the path that prices a candidate pool's applicable pairs, in batches
+  of at most :data:`PAIR_CHUNK`.
 
 All selection algorithms in this repository obtain costs exclusively
 through :class:`WhatIfOptimizer`, so call accounting is uniform.
@@ -20,10 +23,11 @@ through :class:`WhatIfOptimizer`, so call accounting is uniform.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -32,6 +36,8 @@ from repro.indexes.index import Index
 from repro.workload.query import Query, Workload
 
 __all__ = [
+    "PAIR_CHUNK",
+    "Applicability",
     "CostSource",
     "AnalyticalCostSource",
     "WhatIfOptimizer",
@@ -263,16 +269,6 @@ class WhatIfOptimizer:
         """
         return getattr(self._source, "query_costs", None) is not None
 
-    @property
-    def supports_pair_batch(self) -> bool:
-        """Whether the backend prices arbitrary pair lists per call.
-
-        True when the source exposes ``pair_costs`` (the compiled
-        kernel's whole-table entry point, or a resilient wrapper around
-        it).  :meth:`pair_costs` works either way — it degrades to
-        per-pair lookups on backends without it."""
-        return getattr(self._source, "pair_costs", None) is not None
-
     def reset_statistics(self) -> None:
         """Zero the call counters (the cache itself is kept)."""
         with self._lock:
@@ -487,10 +483,10 @@ class WhatIfOptimizer:
     ) -> np.ndarray:
         """Cost of arbitrary ``(query, index_or_None)`` pairs at once.
 
-        The whole-table lookup: callers that need many candidate
-        columns (``cost_table``, column pre-warming) flatten them into
-        one pair list so a pair-capable backend prices everything in a
-        single sweep.  Pairs are passed through as given — callers are
+        The whole-table lookup: :meth:`Applicability.price` flattens
+        many candidate columns into bounded pair lists so a
+        pair-capable backend prices thousands of columns per sweep.
+        Pairs are passed through as given — callers are
         expected to pre-filter inapplicable pairs the way
         :meth:`index_cost` would (pair them with ``None`` instead).
         Accounting matches the per-pair path exactly.
@@ -515,17 +511,16 @@ class WhatIfOptimizer:
                 ]
                 miss_count = results.count(None)
                 self._statistics.cache_hits += len(pairs) - miss_count
-                if (
-                    self._max_entries is not None
-                    and miss_count != len(pairs)
-                ):
+                cold = miss_count == len(pairs)
+                if self._max_entries is not None and not cold:
                     touch = self._cache.move_to_end  # type: ignore[attr-defined]
                     for key, value in zip(keys, results):
                         if value is not None:
                             touch(key)
         if cold:
-            # Cold cache (the whole-table sweep case): every key
-            # misses, so skip the cached-value scan entirely.
+            # Every key misses (a cold cache, or a batch of pairs never
+            # priced — the whole-table sweep case), so skip the
+            # cached-value scans entirely.
             results = [None] * len(pairs)
             miss_count = len(pairs)
         if miss_count:
@@ -598,27 +593,57 @@ class WhatIfOptimizer:
         a real trade-off.
         """
         indexes = tuple(configuration)
-        best = self.sequential_cost(query)
-        for index in indexes:
-            if index.is_applicable_to(query):
-                best = min(best, self._lookup(query, index))
-        if not query.is_select:
-            best += sum(
-                self.maintenance_cost(query, index) for index in indexes
-            )
-        return best
+        return self._query_cost(
+            query,
+            [index for index in indexes if index.is_applicable_to(query)],
+            indexes,
+        )
 
     def workload_cost(
         self,
         workload: Workload,
         configuration: IndexConfiguration | Iterable[Index],
     ) -> float:
-        """``F(I*) = Σ_j b_j · f_j(I*)`` (Eq. 1)."""
+        """``F(I*) = Σ_j b_j · f_j(I*)`` (Eq. 1).
+
+        Equal, bit for bit and call for call, to summing
+        :meth:`configuration_cost` over the workload, but each query
+        looks up only the indexes whose leading attribute it contains
+        (attribute ids are owned by one table), in configuration order.
+        """
         indexes = tuple(configuration)
+        by_leading: dict[int, list[tuple[int, Index]]] = {}
+        for entry in enumerate(indexes):
+            by_leading.setdefault(entry[1].leading_attribute, []).append(entry)
+
+        def applicable(query: Query) -> list[Index]:
+            found = [
+                entry
+                for attribute_id in query.attributes
+                for entry in by_leading.get(attribute_id, ())
+            ]
+            found.sort()  # orders are unique: Index is never compared
+            return [index for _, index in found]
+
         return sum(
-            query.frequency * self.configuration_cost(query, indexes)
+            query.frequency
+            * self._query_cost(query, applicable(query), indexes)
             for query in workload
         )
+
+    def _query_cost(
+        self, query: Query, applicable: list[Index], indexes: Sequence[Index]
+    ) -> float:
+        """``f_j(I*)`` from the ``applicable`` subset of ``indexes``;
+        a write query pays maintenance for all of ``indexes``."""
+        best = self.sequential_cost(query)
+        for index in applicable:
+            best = min(best, self._lookup(query, index))
+        if not query.is_select:
+            best += sum(
+                self.maintenance_cost(query, index) for index in indexes
+            )
+        return best
 
     def multi_configuration_cost(
         self, query: Query, configuration: IndexConfiguration | Iterable[Index]
@@ -692,64 +717,30 @@ class WhatIfOptimizer:
         ``(query_id, index_or_None)`` to cost, including the sequential
         baseline per query.
         """
-        table: dict[tuple[int, Index | None], float] = {}
-        candidate_list = tuple(candidates)
-        if self.supports_pair_batch:
-            # Whole-table pair pricing: the sequential column plus
-            # every applicable (query, candidate) pair flatten into one
-            # backend sweep.  Same pair set, same cache keys, same
-            # call/hit totals as the loops below.
-            queries = tuple(workload)
-            pairs: list[tuple[Query, Index | None]] = [
-                (query, None) for query in queries
-            ]
-            # Inverted applicability map: attribute ids are owned by
-            # exactly one table, so "leading attribute in the query" is
-            # precisely Index.is_applicable_to — without the candidate
-            # × query scan.
-            by_leading: dict[int, list[Query]] = {}
+        queries = tuple(workload)
+        if not self.supports_batch:
+            # The per-pair reference path of scalar backends.
+            candidate_list = tuple(candidates)
+            table: dict[tuple[int, Index | None], float] = {}
             for query in queries:
-                for attribute_id in query.attributes:
-                    by_leading.setdefault(attribute_id, []).append(query)
-            for index in candidate_list:
-                column = by_leading.get(index.leading_attribute)
-                if column:
-                    pairs += [(query, index) for query in column]
-            return {
-                (query.query_id, index): cost
-                for (query, index), cost in zip(
-                    pairs, self.pair_costs(pairs).tolist()
-                )
-            }
-        if self.supports_batch:
-            # Candidate-major batch pricing: one backend call per
-            # candidate column.  Same pair set, same cache keys, same
-            # call/hit totals as the per-pair loop below — just batched.
-            queries = tuple(workload)
-            for query, cost in zip(
-                queries, self._lookup_batch(queries, None)
-            ):
-                table[(query.query_id, None)] = float(cost)
-            for index in candidate_list:
-                applicable = tuple(
-                    query
-                    for query in queries
-                    if index.is_applicable_to(query)
-                )
-                if not applicable:
-                    continue
-                for query, cost in zip(
-                    applicable, self._lookup_batch(applicable, index)
-                ):
-                    table[(query.query_id, index)] = float(cost)
+                table[(query.query_id, None)] = self.sequential_cost(query)
+                for index in candidate_list:
+                    if index.is_applicable_to(query):
+                        table[(query.query_id, index)] = self._lookup(
+                            query, index
+                        )
             return table
-        for query in workload:
-            table[(query.query_id, None)] = self.sequential_cost(query)
-            for index in candidate_list:
-                if index.is_applicable_to(query):
-                    table[(query.query_id, index)] = self._lookup(
-                        query, index
-                    )
+        table = {
+            (query.query_id, None): cost
+            for query, cost in zip(
+                queries, self.sequential_costs(queries).tolist()
+            )
+        }
+        for index, positions, costs in Applicability(queries).price(
+            self, candidates
+        ):
+            for position, cost in zip(positions.tolist(), costs.tolist()):
+                table[(queries[position].query_id, index)] = cost
         return table
 
     # ------------------------------------------------------------------
@@ -825,3 +816,67 @@ class WhatIfOptimizer:
                     for position in positions:
                         results[position] = stored
         return np.array(results, dtype=np.float64)
+
+
+PAIR_CHUNK = 16_384
+"""Pairs per ``pair_costs`` batch when :class:`Applicability` prices a
+candidate pool.  Large enough that per-batch overhead vanishes (a
+paper-scale Fig. 2 swap pool is ≈ 745 k pairs, ≈ 46 batches), small
+enough that one batch's pairs, keys and costs stay a few MB: pricing
+that pool as one batch peaked near 1 GB."""
+
+_NO_POSITIONS = np.empty(0, dtype=np.intp)
+
+
+class Applicability:
+    """Which queries each index applies to, and pricing of those pairs.
+
+    Maps every attribute id to the ascending positions of the queries
+    that contain it.  Attribute ids are owned by exactly one table, so
+    the queries under an index's leading attribute are precisely those
+    :meth:`Index.is_applicable_to` accepts — found without scanning
+    every query for every candidate.
+    """
+
+    def __init__(self, queries: Sequence[Query]) -> None:
+        self.queries = tuple(queries)
+        by_attribute: dict[int, list[int]] = {}
+        for position, query in enumerate(self.queries):
+            for attribute_id in query.attributes:
+                by_attribute.setdefault(attribute_id, []).append(position)
+        self.by_attribute: dict[int, np.ndarray] = {
+            attribute_id: np.array(positions, dtype=np.intp)
+            for attribute_id, positions in by_attribute.items()
+        }
+
+    def positions(self, index: Index) -> np.ndarray:
+        """Ascending positions of the queries ``index`` applies to."""
+        return self.by_attribute.get(index.leading_attribute, _NO_POSITIONS)
+
+    def price(
+        self, optimizer: WhatIfOptimizer, indexes: Iterable[Index]
+    ) -> Iterator[tuple[Index, np.ndarray, np.ndarray]]:
+        """``(index, positions, costs)`` per index, in order, where
+        ``costs[i]`` is ``f_j(k)`` of the query at ``positions[i]``.
+
+        The applicable pairs, candidate-major, go through
+        ``optimizer.pair_costs`` in batches of at most
+        :data:`PAIR_CHUNK`, each priced only once the consumer reaches
+        it (no list of all pairs is built).  Accounting equals per-pair
+        :meth:`WhatIfOptimizer.index_cost` calls in the same order.
+        """
+        indexes = tuple(indexes)
+        columns = [self.positions(index) for index in indexes]
+        queries = self.queries
+        pairs = (
+            (queries[position], index)
+            for index, column in zip(indexes, columns)
+            for position in column.tolist()
+        )
+        costs = np.empty(0)  # priced, not yet handed out
+        for index, column in zip(indexes, columns):
+            while len(costs) < len(column):
+                chunk = list(itertools.islice(pairs, PAIR_CHUNK))
+                costs = np.concatenate((costs, optimizer.pair_costs(chunk)))
+            yield index, column, costs[: len(column)]
+            costs = costs[len(column):]

@@ -464,15 +464,6 @@ class TestPairBatch:
             assert cost == reference.query_cost(query, index)
         assert kernel.statistics.batch_pairs == len(pairs)
 
-    def test_supports_pair_batch_detection(self, tiny_workload):
-        schema = tiny_workload.schema
-        assert WhatIfOptimizer(
-            VectorizedCostSource(schema)
-        ).supports_pair_batch
-        assert not WhatIfOptimizer(
-            AnalyticalCostSource(CostModel(schema))
-        ).supports_pair_batch
-
     def test_facade_pair_costs_matches_per_pair_accounting(
         self, small_workload
     ):
@@ -527,7 +518,7 @@ class TestPairBatch:
 
         schema = small_workload.schema
         wrapped = ResilientCostSource(VectorizedCostSource(schema))
-        assert WhatIfOptimizer(wrapped).supports_pair_batch
+        assert getattr(wrapped, "pair_costs", None) is not None
         bare = VectorizedCostSource(schema)
         pairs = self._mixed_pairs(small_workload)
         assert np.array_equal(
@@ -536,7 +527,7 @@ class TestPairBatch:
         scalar_wrapped = ResilientCostSource(
             AnalyticalCostSource(CostModel(schema))
         )
-        assert not WhatIfOptimizer(scalar_wrapped).supports_pair_batch
+        assert getattr(scalar_wrapped, "pair_costs", None) is None
 
     def test_fault_injector_charges_one_outcome_per_pair_batch(
         self, small_workload

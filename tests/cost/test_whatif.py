@@ -3,10 +3,26 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cost.whatif import WhatIfOptimizer
+from repro.core.evaluation import price_columns
+from repro.core.extend import ExtendAlgorithm
+from repro.core.localsearch import swap_local_search
+from repro.cost import whatif
+from repro.cost.kernel import VectorizedCostSource
+from repro.cost.model import CostModel
+from repro.cost.whatif import (
+    AnalyticalCostSource,
+    Applicability,
+    WhatIfOptimizer,
+)
+from repro.indexes.candidates import syntactically_relevant_candidates
 from repro.indexes.configuration import IndexConfiguration
 from repro.indexes.index import Index
+from repro.indexes.memory import relative_budget
+from repro.workload.query import Query, QueryKind, Workload
+from repro.workload.schema import Schema
 
 
 class _CountingSource:
@@ -241,3 +257,156 @@ class TestStatisticsPublish:
         snapshot = registry.snapshot()
         assert snapshot["whatif.calls"] == 0
         assert snapshot["whatif.hit_rate"] == 0.0
+
+
+class RecordingKernel(VectorizedCostSource):
+    """The compiled kernel, recording the size of every pair batch."""
+
+    def __init__(self, schema, on_pair_batch=None) -> None:
+        super().__init__(schema)
+        self.pair_batches: list[int] = []
+        self.on_pair_batch = on_pair_batch
+
+    def pair_costs(self, pairs):
+        pairs = tuple(pairs)
+        self.pair_batches.append(len(pairs))
+        if self.on_pair_batch is not None:
+            self.on_pair_batch()
+        return super().pair_costs(pairs)
+
+
+def _swap_pricing(workload, optimizer, candidates):
+    # Extend prices whole columns, never pair batches.
+    budget = relative_budget(workload.schema, 0.1)
+    start = ExtendAlgorithm(optimizer).select(workload, budget)
+    swap_local_search(
+        workload, optimizer, start, budget, candidates, max_pool=10
+    )
+
+
+class TestApplicability:
+    def test_positions_match_is_applicable_to(self, small_workload):
+        queries = small_workload.queries
+        applicability = Applicability(queries)
+        for index in syntactically_relevant_candidates(small_workload):
+            assert applicability.positions(index).tolist() == [
+                position
+                for position, query in enumerate(queries)
+                if index.is_applicable_to(query)
+            ]
+
+    @pytest.mark.parametrize(
+        "pricer",
+        [
+            _swap_pricing,
+            lambda workload, optimizer, candidates: price_columns(
+                optimizer, workload.queries, candidates
+            ),
+            lambda workload, optimizer, candidates: optimizer.cost_table(
+                workload, candidates
+            ),
+        ],
+        ids=["swap", "price_columns", "cost_table"],
+    )
+    def test_pool_pricers_never_exceed_the_chunk(
+        self, small_workload, monkeypatch, pricer
+    ):
+        monkeypatch.setattr(whatif, "PAIR_CHUNK", 8)
+        source = RecordingKernel(small_workload.schema)
+        pricer(
+            small_workload,
+            WhatIfOptimizer(source),
+            syntactically_relevant_candidates(small_workload),
+        )
+        assert len(source.pair_batches) > 1
+        assert max(source.pair_batches) <= 8
+
+    def test_chunk_size_changes_no_cost_or_count(
+        self, small_workload, monkeypatch
+    ):
+        candidates = syntactically_relevant_candidates(small_workload)
+        whole = WhatIfOptimizer(VectorizedCostSource(small_workload.schema))
+        expected = whole.cost_table(small_workload, candidates)
+        monkeypatch.setattr(whatif, "PAIR_CHUNK", 7)
+        chunked = WhatIfOptimizer(
+            VectorizedCostSource(small_workload.schema)
+        )
+        assert chunked.cost_table(small_workload, candidates) == expected
+        assert chunked.statistics == whole.statistics
+
+
+_HTAP_SCHEMA = Schema.build(
+    {
+        "ORDERS": (
+            10_000,
+            [("ID", 10_000, 4), ("CUSTOMER", 500, 4), ("STATUS", 5, 1)],
+        ),
+        "ITEMS": (50_000, [("ID", 50_000, 4), ("SKU", 2_000, 8)]),
+    }
+)
+
+
+@st.composite
+def _workloads_and_configurations(draw):
+    """Two-table workloads mixing SELECT, UPDATE and INSERT templates,
+    with a configuration of indexes on either table."""
+    tables = {
+        table.name: [attribute.id for attribute in table.attributes]
+        for table in _HTAP_SCHEMA.tables
+    }
+    queries = []
+    for query_id in range(draw(st.integers(min_value=1, max_value=10))):
+        table = draw(st.sampled_from(sorted(tables)))
+        attributes = draw(
+            st.sets(st.sampled_from(tables[table]), min_size=1)
+        )
+        queries.append(
+            Query(
+                query_id,
+                table,
+                frozenset(attributes),
+                draw(st.floats(min_value=0.5, max_value=1e4)),
+                kind=draw(st.sampled_from(list(QueryKind))),
+            )
+        )
+    indexes = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        table = draw(st.sampled_from(sorted(tables)))
+        order = draw(st.permutations(tables[table]))
+        width = draw(st.integers(min_value=1, max_value=len(order)))
+        indexes.append(Index.of(_HTAP_SCHEMA, tuple(order[:width])))
+    return Workload(_HTAP_SCHEMA, queries), indexes
+
+
+class TestWorkloadCost:
+    @given(
+        _workloads_and_configurations(),
+        st.sampled_from([None, 2, 4]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_per_query_sum(self, case, max_entries):
+        """Bit-identical to summing configuration_cost, with identical
+        statistics, over a configuration and each leave-one-out subset
+        (the report's calls) -- also under an LRU bound, where the
+        lookup order decides evictions."""
+        workload, indexes = case
+
+        def facade():
+            return WhatIfOptimizer(
+                AnalyticalCostSource(CostModel(_HTAP_SCHEMA)),
+                max_entries=max_entries,
+            )
+
+        grouped, reference = facade(), facade()
+        for drop in range(-1, len(indexes)):
+            subset = [
+                index for rank, index in enumerate(indexes) if rank != drop
+            ]
+            total = grouped.workload_cost(workload, subset)
+            expected = sum(
+                query.frequency
+                * reference.configuration_cost(query, subset)
+                for query in workload
+            )
+            assert total == expected
+            assert grouped.statistics == reference.statistics
