@@ -1,16 +1,19 @@
-"""Benchmark: warm service requests vs cold one-shot advisor runs.
+"""Benchmark: warm service requests vs the same request on a fresh service.
 
 Serves the scaled Fig. 2 workload (10 tables x 50 attributes, 20 query
 templates per table, seed 1909) through an :class:`AdvisorService` and
-compares repeated (warm) requests against a cold one-shot
-``IndexAdvisor.recommend``.  Warm requests run against resident state —
-the shared what-if cache, the compiled workload packs, and the warm
-benefit tables — and must be at least 3x faster while selecting the
-bit-identical configuration.  The warm path's backend what-if calls are
-fully deterministic (every priced column comes from the warm store,
-every remaining lookup from the shared cache), so the committed
-baseline pins them exactly; wall-clock speedup is gated against the
-absolute 3x floor rather than a machine-dependent timing baseline.
+compares repeated (warm) requests against the first, cold one: the same
+service request on a fresh service, so both sides do the same work (a
+selection, no report) and differ only in residency.  Warm requests run
+against resident state — the shared what-if cache, the compiled
+workload packs, and the warm benefit tables — and must be at least 3x
+faster while selecting the configuration a one-shot
+``IndexAdvisor.recommend`` selects, bit for bit.  The warm path's
+backend what-if calls are fully deterministic (every priced column
+comes from the warm store, every remaining lookup from the shared
+cache), so the committed baseline pins them exactly; wall-clock speedup
+is gated against the absolute 3x floor rather than a machine-dependent
+timing baseline.
 
 Also usable standalone for the CI regression gate::
 
@@ -25,7 +28,6 @@ import argparse
 import json
 import statistics as stats
 import sys
-import time
 from pathlib import Path
 
 from repro.advisor import IndexAdvisor
@@ -54,15 +56,13 @@ def _percentile(values: list[float], share: float) -> float:
 
 
 def measure(workload=None) -> dict:
-    """Cold one-shot advisor vs warm repeated service requests."""
+    """The first (cold) request on a fresh service vs warm repeats."""
     if workload is None:
         workload = generate_workload(FIG2_SCALED)
 
-    started = time.perf_counter()
     cold_shot = IndexAdvisor(workload.schema).recommend(
         workload, budget_share=BUDGET_SHARE, algorithm="extend"
     )
-    cold_seconds = time.perf_counter() - started
     signature = cold_shot.result.configuration_signature()
 
     with AdvisorService(
@@ -87,12 +87,11 @@ def measure(workload=None) -> dict:
     p50 = _percentile(warm_seconds, 0.50)
     return {
         "steps": len(cold_shot.result.steps),
-        "cold_seconds": round(cold_seconds, 4),
-        "first_request_seconds": round(first.wall_seconds, 4),
+        "cold_seconds": round(first.wall_seconds, 4),
         "warm_p50_seconds": round(p50, 4),
         "warm_p99_seconds": round(_percentile(warm_seconds, 0.99), 4),
         "warm_mean_seconds": round(stats.mean(warm_seconds), 4),
-        "speedup": round(cold_seconds / max(p50, 1e-9), 2),
+        "speedup": round(first.wall_seconds / max(p50, 1e-9), 2),
         "warm_whatif_calls": int(warm_calls),
         "warm_table_hit_rate": warm_responses[-1].gauges[
             "evaluation.warm_hit_rate"
@@ -110,7 +109,8 @@ def measure_all() -> dict:
 
 
 def test_warm_request_at_least_3x_faster(benchmark):
-    """The headline claim: resident state makes repeats >= 3x faster."""
+    """The headline claim: resident state makes repeats >= 3x faster
+    than the same request on a fresh service."""
     results = benchmark.pedantic(measure, rounds=1, iterations=1)
     assert results["speedup"] >= SPEEDUP_FLOOR
     assert results["warm_table_hit_rate"] == 1.0

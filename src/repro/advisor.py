@@ -56,7 +56,10 @@ from repro.heuristics.rules import (
     SelectivityFrequencyHeuristic,
     SelectivityHeuristic,
 )
-from repro.indexes.candidates import syntactically_relevant_candidates
+from repro.indexes.candidates import (
+    check_candidate_width,
+    syntactically_relevant_candidates,
+)
 from repro.indexes.memory import relative_budget
 from repro.report import AdvisorReport, build_report
 from repro.resilience import (
@@ -552,10 +555,11 @@ class IndexAdvisor:
             One of ``extend``, ``extend+swap`` (default), ``cophy``,
             ``h1`` … ``h5``, ``h4+skyline``.
         candidate_width:
-            Maximum index width for the candidate set of the two-step
-            algorithms (ignored by extend variants).
+            Maximum index width (a positive integer) of the candidate
+            set of the two-step algorithms and of the ``extend+swap``
+            swap pool; plain ``extend`` does not use it.
         hot_spot_count:
-            How many residual hot spots the report lists.
+            How many residual hot spots the report lists (``>= 0``).
         deadline_s:
             Wall-clock budget for the selection.  On expiry, algorithms
             return their feasible best-so-far configuration with
@@ -594,6 +598,11 @@ class IndexAdvisor:
             raise ExperimentError(
                 f"unknown cost kernel {kernel!r}; pick one of "
                 f"{', '.join(_COST_KERNELS)}"
+            )
+        check_candidate_width(candidate_width)
+        if hot_spot_count < 0:
+            raise ExperimentError(
+                f"hot_spot_count must be >= 0, got {hot_spot_count}"
             )
         resolved = self._coerce_workload(workload)
         budget = self._coerce_budget(budget_share, budget_bytes)

@@ -90,19 +90,87 @@ class _CostCache:
     def configuration_cost(self, indexes: Iterable[Index]) -> float:
         """``F(I*)`` under one-index-per-query semantics plus the
         additive maintenance of every selected index."""
-        best = self.sequential.copy()
+        indexes = tuple(indexes)
+        return self.cost_from_best(self.per_query_best(indexes), indexes)
+
+    def cost_from_best(
+        self, best: np.ndarray, indexes: Iterable[Index]
+    ) -> float:
+        """``F`` from a selection's per-query minimum vector ``best``
+        plus the maintenance of ``indexes``, summed in their order."""
         maintenance = 0.0
         for index in indexes:
-            np.minimum(best, self.column(index), out=best)
             maintenance += self.maintenance_of(index)
         return float(np.dot(self.weights, best)) + maintenance
 
-    def per_query_best(self, indexes: Sequence[Index]) -> np.ndarray:
+    def per_query_best(self, indexes: Iterable[Index]) -> np.ndarray:
         """Per-query minimum cost vector for a selection."""
         best = self.sequential.copy()
         for index in indexes:
             np.minimum(best, self.column(index), out=best)
         return best
+
+
+class _RoundCosts:
+    """Per-query best and second-best cost of one round's selection.
+
+    The rows are the selected columns, sorted by name, then the
+    sequential row.  ``first`` is their per-query minimum, ``owner`` the
+    first row that reaches it (as ``argmin`` picks it) and ``second``
+    the second-smallest value.  A candidate column enters between the
+    selected rows and the sequential row, so only queries where it
+    undercuts ``second`` can change any selected index's marginal, and
+    a trial's per-query best follows from these three vectors without
+    restacking the selection for every candidate.
+    """
+
+    def __init__(self, cache: _CostCache, ordered: Sequence[Index]):
+        self.weights = cache.weights
+        self.rows = np.vstack(
+            [*(cache.column(index) for index in ordered), cache.sequential]
+        )
+        self.first = self.rows.min(axis=0)
+        self.owner = np.argmin(self.rows, axis=0)
+        self.second = (
+            np.partition(self.rows, 1, axis=0)[1]
+            if ordered
+            else np.full_like(self.first, np.inf)
+        )
+        self.owned = [
+            np.flatnonzero(self.owner == row) for row in range(len(ordered))
+        ]
+        regret = (self.second - self.first) * self.weights
+        self.base = [float(regret[owned].sum()) for owned in self.owned]
+
+    def marginals(self, column: np.ndarray) -> list[float]:
+        """Each selected row's marginal value with ``column`` present:
+        the weighted regret of the queries it still owns."""
+        marginal = list(self.base)
+        affected = np.unique(self.owner[column < self.second])
+        for row in affected[affected < len(marginal)].tolist():
+            owned = self.owned[row]
+            cost, first = column[owned], self.first[owned]
+            best = np.minimum(cost, first)
+            second = np.minimum(np.maximum(cost, first), self.second[owned])
+            regret = (second - best) * self.weights[owned]
+            # On a tie the selected row, stacked first, keeps the query.
+            marginal[row] = float(regret[cost >= first].sum())
+        return marginal
+
+    def trial_best(
+        self, column: np.ndarray, evicted: Sequence[int]
+    ) -> np.ndarray:
+        """Per-query minimum once ``evicted`` rows leave and ``column``
+        joins."""
+        if not evicted:
+            best = self.first.copy()
+        elif len(evicted) == 1:
+            best = np.where(
+                self.owner == evicted[0], self.second, self.first
+            )
+        else:
+            best = np.delete(self.rows, evicted, axis=0).min(axis=0)
+        return np.minimum(best, column, out=best)
 
 
 def _prune_pool(
@@ -231,13 +299,7 @@ def swap_local_search(
                     selected,
                     key=lambda index: (index.table_name, index.attributes),
                 )
-                selected_matrix = (
-                    np.vstack(
-                        [cache.column(index) for index in ordered_selected]
-                    )
-                    if ordered_selected
-                    else np.empty((0, len(cache.sequential)))
-                )
+                costs = _RoundCosts(cache, ordered_selected)
 
                 improvement: (
                     tuple[float, Index, tuple[Index, ...]] | None
@@ -245,47 +307,36 @@ def swap_local_search(
                 for candidate in pool:
                     if candidate in selected:
                         continue
-                    # Marginal value of every selected index *with the
-                    # candidate present* — interaction means an index can
-                    # lose most of its value once the candidate covers
-                    # its queries.
-                    stacked = np.vstack(
-                        [
-                            selected_matrix,
-                            cache.column(candidate)[None, :],
-                            cache.sequential[None, :],
-                        ]
-                    )
-                    owners = np.argmin(stacked, axis=0)
-                    two_smallest = np.partition(stacked, 1, axis=0)
-                    regret = (
-                        two_smallest[1] - two_smallest[0]
-                    ) * cache.weights
-                    marginal = {
-                        index: float(regret[owners == row].sum())
-                        for row, index in enumerate(ordered_selected)
-                    }
-
+                    column = cache.column(candidate)
                     needed = current_memory + memory[candidate] - budget
-                    evicted: list[Index] = []
+                    victim_rows: list[int] = []
                     if needed > 0:
-                        for victim in sorted(
-                            ordered_selected,
-                            key=lambda index: marginal[index],
+                        # Marginal value of every selected index *with
+                        # the candidate present* — interaction means an
+                        # index can lose most of its value once the
+                        # candidate covers its queries.
+                        marginal = costs.marginals(column)
+                        for row in sorted(
+                            range(len(marginal)), key=marginal.__getitem__
                         ):
-                            evicted.append(victim)
-                            needed -= memory[victim]
+                            victim_rows.append(row)
+                            needed -= memory[ordered_selected[row]]
                             if needed <= 0:
                                 break
                         if needed > 0:
                             continue
-                    trial = (selected - set(evicted)) | {candidate}
-                    trial_cost = cache.configuration_cost(trial)
+                    victims = tuple(
+                        ordered_selected[row] for row in victim_rows
+                    )
+                    trial = (selected - set(victims)) | {candidate}
+                    trial_cost = cache.cost_from_best(
+                        costs.trial_best(column, victim_rows), trial
+                    )
                     gain = current_cost - trial_cost
                     if gain > 0 and (
                         improvement is None or gain > improvement[0]
                     ):
-                        improvement = (gain, candidate, tuple(evicted))
+                        improvement = (gain, candidate, victims)
                 if improvement is None:
                     round_span.annotate("outcome", "converged")
                     break

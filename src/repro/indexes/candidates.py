@@ -27,6 +27,7 @@ from repro.workload.query import Workload
 from repro.workload.stats import WorkloadStatistics
 
 __all__ = [
+    "check_candidate_width",
     "syntactically_relevant_candidates",
     "all_permutation_candidates",
     "single_attribute_candidates",
@@ -37,6 +38,15 @@ __all__ = [
 ]
 
 DEFAULT_MAX_WIDTH = 4
+
+
+def check_candidate_width(width: object) -> None:
+    """Reject a ``candidate_width`` request argument that is not a
+    positive integer, before any candidate is generated or priced."""
+    if isinstance(width, bool) or not isinstance(width, int) or width < 1:
+        raise IndexDefinitionError(
+            f"candidate_width must be a positive integer, got {width!r}"
+        )
 
 
 def _deduplicate(candidates: Sequence[Index]) -> list[Index]:

@@ -10,6 +10,7 @@ or pasted into a ticket.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.core.steps import SelectionResult
@@ -29,6 +30,10 @@ class IndexReport:
     index: Index
     memory: int
     marginal_benefit: float
+    """Workload-cost increase if only this index were dropped: the
+    weighted regret of the queries it serves, each falling back to its
+    second-best option, minus the maintenance load it stops costing."""
+
     serves: tuple[int, ...]
     """Query ids whose best plan uses this index."""
 
@@ -131,6 +136,11 @@ def build_report(
     only that index were dropped — the in-context value that accounts
     for index interaction (an index fully shadowed by another one shows
     a marginal benefit near zero even if it looked great in isolation).
+    Each query is served by at most one index (Eqs. 5–6), so it is
+    computed in one pass over the queries: every query the index serves
+    falls back to its second-best option (another applicable index or
+    the sequential scan), and the index's maintenance load is saved,
+    ``Σ_{q served by k} b_q·(second_q − best_q) − maintenance_load(k)``.
 
     ``whatif_statistics`` should be the counter *delta* of the selection
     run (see :meth:`~repro.cost.whatif.WhatIfStatistics.since`); it is
@@ -142,32 +152,33 @@ def build_report(
         )
     configuration = result.configuration
     baseline = optimizer.workload_cost(workload, ())
-    total = optimizer.workload_cost(workload, configuration)
 
     serves: dict[Index, list[int]] = {index: [] for index in configuration}
+    regret = dict.fromkeys(configuration, 0.0)
     per_query_cost: dict[int, float] = {}
     for query in workload:
         best_cost = optimizer.sequential_cost(query)
+        second_cost = math.inf
         best_index: Index | None = None
         for index in configuration.applicable_to(query):
             cost = optimizer.index_cost(query, index)
             if cost < best_cost:
-                best_cost = cost
+                best_cost, second_cost = cost, best_cost
                 best_index = index
+            elif cost < second_cost:
+                second_cost = cost
         per_query_cost[query.query_id] = (
             query.frequency
             * optimizer.configuration_cost(query, configuration)
         )
         if best_index is not None:
             serves[best_index].append(query.query_id)
+            regret[best_index] += query.frequency * (second_cost - best_cost)
 
     index_reports = []
     for index in sorted(
         configuration, key=lambda index: (index.table_name, index.attributes)
     ):
-        without = optimizer.workload_cost(
-            workload, configuration.without_index(index)
-        )
         maintenance = sum(
             query.frequency * optimizer.maintenance_cost(query, index)
             for query in workload
@@ -177,7 +188,7 @@ def build_report(
             IndexReport(
                 index=index,
                 memory=index_memory(workload.schema, index),
-                marginal_benefit=without - total,
+                marginal_benefit=regret[index] - maintenance,
                 serves=tuple(serves[index]),
                 maintenance_load=maintenance,
             )

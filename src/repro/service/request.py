@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from repro.core.steps import SelectionResult, STATUS_DEGRADED
 from repro.core.sweep import SweepResult, normalize_budget_shares
 from repro.exceptions import BudgetError, ExperimentError
+from repro.indexes.candidates import check_candidate_width
 
 __all__ = [
     "RecommendRequest",
@@ -47,7 +48,8 @@ class RecommendRequest:
         On expiry the request degrades to a tagged best-so-far result
         instead of failing.
     candidate_width:
-        Maximum index width for the two-step algorithms' candidate set.
+        Maximum index width (a positive integer) of the two-step
+        algorithms' candidate set and of the ``extend+swap`` swap pool.
     request_id:
         Caller-chosen correlation id; auto-assigned when ``None``.
     """
@@ -68,6 +70,7 @@ class RecommendRequest:
             raise BudgetError(
                 f"deadline_s must be >= 0, got {self.deadline_s}"
             )
+        check_candidate_width(self.candidate_width)
 
 
 @dataclass(frozen=True)

@@ -161,6 +161,29 @@ class TestErrors:
         assert no_budget["code"] == "invalid_budget"
         assert stats["ok"]
 
+    def test_bad_candidate_width_is_rejected_before_admission(
+        self, service
+    ):
+        _, responses = run_protocol(
+            service,
+            [
+                {"id": 1, "op": "recommend", "workload": "base",
+                 "budget_share": 0.5, "algorithm": "extend+swap",
+                 "candidate_width": 0},
+                {"id": 2, "op": "stats"},
+            ],
+        )
+        rejected, stats = responses
+        assert rejected == {
+            "id": 1,
+            "ok": False,
+            "error": "IndexDefinitionError",
+            "code": "invalid_request",
+            "message": "candidate_width must be a positive integer, got 0",
+        }
+        assert stats["gauges"]["service.admitted"] == 0
+        assert stats["gauges"].get("whatif.calls", 0) == 0
+
     def test_non_object_line_is_an_error(self, service):
         _, responses = run_protocol(
             service, ["[1,2,3]", {"op": "shutdown"}]

@@ -13,6 +13,7 @@ from repro.cost.model import CostModel
 from repro.cost.whatif import AnalyticalCostSource
 from repro.exceptions import (
     ExperimentError,
+    IndexDefinitionError,
     ServiceError,
     ServiceOverloadedError,
     UnknownWorkloadError,
@@ -399,3 +400,8 @@ class TestObservability:
             RecommendRequest(
                 workload="w", budget_share=0.3, deadline_s=-1.0
             )
+        for width in (0, -2, 1.5, False, "3"):
+            with pytest.raises(IndexDefinitionError, match="candidate_width"):
+                RecommendRequest(
+                    workload="w", budget_share=0.3, candidate_width=width
+                )

@@ -5,7 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.advisor import IndexAdvisor
-from repro.exceptions import BudgetError, ExperimentError
+from repro.exceptions import (
+    BudgetError,
+    ExperimentError,
+    IndexDefinitionError,
+)
 from repro.workload.query import Query
 
 
@@ -105,6 +109,35 @@ class TestAlgorithms:
         assert swapped.result.total_cost <= (
             plain.result.total_cost * (1 + 1e-9)
         )
+
+
+class TestArgumentValidation:
+    """Bad request arguments fail before any selection work starts."""
+
+    @pytest.mark.parametrize("algorithm", ["extend", "extend+swap", "h4"])
+    def test_negative_hot_spot_count(self, advisor, algorithm):
+        with pytest.raises(ExperimentError, match="hot_spot_count"):
+            advisor.recommend(
+                _SQL,
+                budget_share=0.5,
+                algorithm=algorithm,
+                hot_spot_count=-1,
+            )
+        assert advisor.optimizer.statistics.calls == 0
+        assert advisor.optimizer.statistics.total_requests == 0
+
+    @pytest.mark.parametrize("algorithm", ["extend", "extend+swap", "h4"])
+    @pytest.mark.parametrize("width", [0, -1, 2.5, True, "4", None])
+    def test_bad_candidate_width(self, advisor, algorithm, width):
+        with pytest.raises(IndexDefinitionError, match="candidate_width"):
+            advisor.recommend(
+                _SQL,
+                budget_share=0.5,
+                algorithm=algorithm,
+                candidate_width=width,
+            )
+        assert advisor.optimizer.statistics.calls == 0
+        assert advisor.optimizer.statistics.total_requests == 0
 
 
 class TestRecommendation:
