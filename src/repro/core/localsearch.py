@@ -13,11 +13,12 @@ the swap when it lowers total cost.
 The pass is algorithm-agnostic: it improves any
 :class:`~repro.indexes.configuration.IndexConfiguration` given a candidate
 pool.  All costs flow through the caching what-if facade, so the extra
-optimizer calls are limited to candidates never priced before.
+optimizer calls are limited to candidates whose bound reaches the cut.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 from typing import Iterable, Sequence
 
@@ -179,37 +180,75 @@ def _prune_pool(
     pool: list[Index],
     max_pool: int,
     deadline: Deadline,
-) -> list[Index] | None:
+) -> tuple[list[Index] | None, int]:
     """The ``max_pool`` candidates that add most on top of ``selected``
     (against the no-index baseline, redundant variants of covered hot
-    queries would win), stable in pool order; ``None`` once ``deadline``
-    expires, checked as each candidate's costs arrive.  Candidates are
-    priced only where they apply; only the survivors get dense columns.
+    queries would win), stable in pool order, and how many candidates
+    were priced; ``None`` instead of the list once ``deadline``
+    expires, checked as each candidate's costs arrive.
+
+    Costs are non-negative, so a candidate gains at most the weighted
+    ``base`` cost of the queries it applies to — a bound shared by
+    every candidate with its leading attribute.  Those groups are
+    priced in descending bound order (ties in pool order) until a
+    group's bound falls strictly below the ``max_pool``-th best gain
+    priced so far: no candidate left can then make the cut, so the
+    kept list equals ranking the whole pool.  Candidates are priced
+    only where they apply; only the survivors get dense columns.
     """
+    if max_pool == 0:
+        return [], 0
     base = cache.per_query_best(
         sorted(
             selected, key=lambda index: (index.table_name, index.attributes)
         )
     )
+    weights = cache.weights
+    applicability = cache.applicability
     # Off its applicable rows a candidate costs f_j(0) >= base, so its
     # gain there is exactly 0 and the dot over this vector equals the
-    # one over a dense column, bit for bit.
+    # one over a dense column, bit for bit.  A bound is the same dot
+    # over the same buffer holding base where a score holds
+    # max(base - cost, 0) <= base, so no score exceeds its bound in
+    # floating point either.
     gain = np.zeros_like(base)
-    scores: list[float] = []
-    sparse: list[tuple[np.ndarray, np.ndarray]] = []
-    for _, positions, costs in cache.applicability.price(
-        cache.optimizer, pool
-    ):
-        if deadline.expired:
-            return None
-        gain[positions] = np.maximum(base[positions] - costs, 0.0)
-        scores.append(-float(np.dot(cache.weights, gain)))
+    groups: dict[int, list[int]] = {}
+    for position, index in enumerate(pool):
+        groups.setdefault(index.leading_attribute, []).append(position)
+    bounded: list[tuple[float, list[int]]] = []
+    for members in groups.values():
+        positions = applicability.positions(pool[members[0]])
+        gain[positions] = base[positions]
+        bounded.append((float(np.dot(weights, gain)), members))
         gain[positions] = 0.0
-        sparse.append((positions, costs))
-    kept = sorted(range(len(pool)), key=scores.__getitem__)[:max_pool]
+    # Stable: equal bounds keep the order of their first pool position.
+    bounded.sort(key=lambda group: -group[0])
+    best: list[float] = []  # min-heap of the max_pool largest gains
+    scores: dict[int, float] = {}
+    sparse: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for bound, members in bounded:
+        if len(best) == max_pool and bound < best[0]:
+            break
+        candidates = [pool[position] for position in members]
+        for position, (_, positions, costs) in zip(
+            members, applicability.price(cache.optimizer, candidates)
+        ):
+            if deadline.expired:
+                return None, len(scores)
+            gain[positions] = np.maximum(base[positions] - costs, 0.0)
+            score = float(np.dot(weights, gain))
+            gain[positions] = 0.0
+            scores[position] = score
+            sparse[position] = (positions, costs)
+            if len(best) < max_pool:
+                heapq.heappush(best, score)
+            elif score > best[0]:
+                heapq.heapreplace(best, score)
+    kept = sorted(scores, key=lambda position: (-scores[position], position))
+    kept = kept[:max_pool]
     for position in kept:
         cache.keep(pool[position], *sparse[position])
-    return [pool[position] for position in kept]
+    return [pool[position] for position in kept], len(scores)
 
 
 def swap_local_search(
@@ -233,7 +272,8 @@ def swap_local_search(
     candidate_pool:
         Indexes that may be swapped in.  The pool is pruned to the
         ``max_pool`` candidates with the largest benefit on top of the
-        starting selection to bound the search.
+        starting selection to bound the search (``max_pool >= 0``;
+        ``0`` empties the pool without pricing it).
     max_rounds:
         Upper bound on improving swaps (each round changes the
         configuration, so convergence is guaranteed anyway — costs
@@ -253,6 +293,8 @@ def swap_local_search(
     """
     if budget < 0:
         raise BudgetError(f"budget must be >= 0, got {budget}")
+    if max_pool < 0:
+        raise BudgetError(f"max_pool must be >= 0, got {max_pool}")
     deadline = deadline or Deadline.none()
     status = result.status
     started = time.perf_counter()
@@ -267,7 +309,7 @@ def swap_local_search(
     # indentation; the finally below guarantees the span closes.
     try:
         schema = workload.schema
-        with tracer.span("localsearch.pool"):
+        with tracer.span("localsearch.pool") as pool_span:
             cache = _CostCache(workload, optimizer)
 
             selected: set[Index] = set(result.configuration)
@@ -280,9 +322,18 @@ def swap_local_search(
             pool = [index for index in dict.fromkeys(candidate_pool)]
             pool = [index for index in pool if index not in selected]
             if len(pool) > max_pool:
-                pool = _prune_pool(cache, selected, pool, max_pool, deadline)
+                size = len(pool)
+                pool, priced = _prune_pool(
+                    cache, selected, pool, max_pool, deadline
+                )
                 if pool is None:  # the deadline expired while ranking
                     status, pool = STATUS_DEGRADED, []
+                pool_span.annotate("priced", priced)
+                pool_span.annotate("pruned", size - priced)
+                if telemetry.enabled:
+                    telemetry.metrics.counter(
+                        "localsearch.pool_pruned"
+                    ).increment(size - priced)
             for index in pool:
                 memory[index] = index_memory(schema, index)
 

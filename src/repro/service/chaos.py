@@ -50,8 +50,9 @@ Scenarios (``SCENARIOS``):
     genuinely in-flight overdue work.
 ``coalescer_waiter_storm``
     A storm of concurrent cold requests fuses its pricing into shared
-    coalescer batches, and the backend loses the first batch fused
-    over a micro-batch window to one scripted
+    coalescer batches.  The backend holds the storm's first batch until
+    every storm request has entered the coalescer and waits on it, then
+    loses it to one scripted
     :class:`~repro.exceptions.TransientCostSourceError`.  Every waiter
     must reach exactly one terminal outcome (the resilient retry heals
     the lost batch for all of them at once, visible as
@@ -75,6 +76,7 @@ import random
 import sys
 import tempfile
 import threading
+import time
 from concurrent.futures import TimeoutError as _FutureTimeoutError
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -113,6 +115,9 @@ SCENARIOS = (
 
 _BUDGET_SHARE = 0.3
 _OUTCOME_WAIT_S = 30.0
+# How long the storm scenario's backend holds its first batch for the
+# rest of the storm to arrive.
+_HOLD_S = 10.0
 
 # Sweep-chaos grid: on the enterprise workload below, at least one
 # budget past the first still prices fresh candidates (tight budgets
@@ -212,33 +217,37 @@ class _LosesOneBatch(VectorizedCostSource):
     """The vectorized kernel, losing one ``pair_costs`` batch on cue.
 
     Healthy until :meth:`arm`; the first later ``pair_costs`` call
-    (the coalescer dispatches every batch through that entry point)
-    made while ``when()`` holds raises one
+    (the coalescer dispatches every batch through that entry point) is
+    held until ``ready()`` holds, then raises one
     :class:`TransientCostSourceError`, and every call after it is
-    healthy again.
+    healthy again.  A hold that outlasts ``_HOLD_S`` gives up waiting
+    (``held_until_ready`` is then False) and loses the batch anyway.
     """
 
     def __init__(self, schema) -> None:
         super().__init__(schema)
-        self._when = None
+        self._ready = None
         self._arm_lock = threading.Lock()
         self.lost_batches = 0
+        self.held_until_ready = False
 
-    def arm(self, when) -> None:
+    def arm(self, ready) -> None:
         with self._arm_lock:
-            self._when = when
+            self._ready = ready
 
     def pair_costs(self, pairs):
         with self._arm_lock:
-            lose = self._when is not None and self._when()
-            if lose:
-                self._when = None
-                self.lost_batches += 1
-        if lose:
-            raise TransientCostSourceError(
-                "chaos: the backend lost a fused pricing batch"
-            )
-        return super().pair_costs(pairs)
+            ready, self._ready = self._ready, None
+        if ready is None:
+            return super().pair_costs(pairs)
+        give_up = time.monotonic() + _HOLD_S
+        while not ready() and time.monotonic() < give_up:
+            time.sleep(0.001)
+        self.held_until_ready = ready()
+        self.lost_batches += 1
+        raise TransientCostSourceError(
+            "chaos: the backend lost the storm's shared pricing batch"
+        )
 
 
 class _DroppingOutput(io.StringIO):
@@ -689,9 +698,9 @@ class ChaosHarness:
         report = ScenarioReport("coalescer_waiter_storm", self.seed)
         storm_size = 4
         source = _LosesOneBatch(self._schema)
-        # A generous window guarantees the storm's racing cold misses
-        # actually meet inside it and fuse (the point of the scenario);
-        # the idle fast path keeps the serial baseline request quick.
+        # A generous window lets the storm's racing cold misses meet
+        # inside it and fuse after the held batch; the idle fast path
+        # keeps the serial baseline request quick.
         service = AdvisorService(
             self._schema,
             max_concurrency=storm_size,
@@ -732,12 +741,14 @@ class ChaosHarness:
                 return report
             before = coalescer.statistics.copy()
             retries_before = resilient.statistics.retries
-            # Lose the first batch whose leader waited out a window:
-            # racing storm requests fused their pairs into it, so every
-            # one of its waiters depends on the retry.
-            waits = before.window_waits
+            # Hold the storm's first batch until every storm request
+            # has entered the coalescer, then lose it: the requests
+            # race the same cold pairs, so each one waits on that batch
+            # (the storm overlaps by construction, however the threads
+            # are scheduled) and depends on the retry.
             source.arm(
-                lambda: coalescer.statistics.window_waits > waits
+                lambda: coalescer.statistics.callers
+                >= before.callers + storm_size
             )
             storm = [
                 service.submit(
@@ -802,6 +813,7 @@ class ChaosHarness:
             report.details["storm_coalesced"] = fused >= 1
             report.details["storm_deduped"] = deduped > 0
             report.details["lost_batches"] = source.lost_batches
+            report.details["storm_held"] = source.held_until_ready
             report.details["storm_retries"] = (
                 statistics.retries - retries_before
             )
@@ -815,6 +827,11 @@ class ChaosHarness:
                     "concurrent storm requests shared no work items "
                     "(coalescer.deduped_pairs flat); the storm never "
                     "coalesced"
+                )
+            if not source.held_until_ready:
+                report.violations.append(
+                    "the lost batch was released before every storm "
+                    "request entered the coalescer"
                 )
             if source.lost_batches != 1:
                 report.violations.append(

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import find, given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from repro.core.evaluation import price_columns
@@ -16,10 +18,15 @@ from repro.core.steps import STATUS_DEGRADED, SelectionResult
 from repro.cost import whatif
 from repro.cost.kernel import VectorizedCostSource
 from repro.cost.model import CostModel
-from repro.cost.whatif import AnalyticalCostSource, WhatIfOptimizer
+from repro.cost.whatif import (
+    AnalyticalCostSource,
+    Applicability,
+    WhatIfOptimizer,
+)
 from repro.exceptions import BudgetError
 from repro.indexes.candidates import syntactically_relevant_candidates
 from repro.indexes.configuration import IndexConfiguration
+from repro.indexes.index import Index
 from repro.indexes.memory import (
     configuration_memory,
     index_memory,
@@ -107,6 +114,49 @@ class TestSwapLocalSearch:
                 small_workload, small_optimizer, start, -1, []
             )
 
+    def test_rejects_negative_max_pool_before_any_pricing(
+        self, small_workload
+    ):
+        budget = relative_budget(small_workload.schema, 0.1)
+        facade, start = _extend(small_workload, budget)
+        before = facade.statistics.copy()
+        with pytest.raises(BudgetError, match="max_pool"):
+            swap_local_search(
+                small_workload,
+                facade,
+                start,
+                budget,
+                syntactically_relevant_candidates(small_workload),
+                max_pool=-3,
+            )
+        assert facade.statistics.since(before).total_requests == 0
+
+    def test_zero_max_pool_prices_no_candidate(self, small_workload):
+        """``max_pool=0`` empties the pool before any candidate is
+        priced: the same what-if traffic and result as no candidates."""
+        budget = relative_budget(small_workload.schema, 0.1)
+        candidates = syntactically_relevant_candidates(small_workload)
+
+        def run(pool, max_pool):
+            facade, start = _extend(small_workload, budget)
+            before = facade.statistics.copy()
+            result = swap_local_search(
+                small_workload, facade, start, budget, pool,
+                max_pool=max_pool,
+            )
+            requests = facade.statistics.since(before).total_requests
+            return (result.configuration, repr(result.total_cost)), requests
+
+        assert run(candidates, 0) == run([], 500)
+        facade, start = _extend(small_workload, budget)
+        selected = set(start.configuration)
+        cache = _CostCache(small_workload, facade)
+        before = facade.statistics.copy()
+        pool = [index for index in candidates if index not in selected]
+        ranked = _prune_pool(cache, selected, pool, 0, Deadline.none())
+        assert ranked == ([], 0)
+        assert facade.statistics.since(before).total_requests == 0
+
     def test_can_recover_greedy_mistakes(self, tiny_workload, tiny_optimizer):
         """Starting from a deliberately bad selection, the swap pass must
         find strictly better configurations when the budget allows."""
@@ -165,6 +215,83 @@ def _dense_ranking(workload, optimizer, selected, pool):
     return sorted(pool, key=lambda index: -scores[index]), scores
 
 
+def _eager_prune_pool(cache, selected, pool, max_pool):
+    """The ranking before the gain bound: every candidate of the pool
+    is priced and scored, and the ``max_pool`` best kept (stable)."""
+    base = cache.per_query_best(sorted(selected, key=_by_name))
+    scores = _eager_scores(cache, base, pool)
+    kept = sorted(range(len(pool)), key=lambda position: -scores[position])
+    return [pool[position] for position in kept[:max_pool]]
+
+
+def _eager_scores(cache, base, pool):
+    """What each pool candidate adds on top of ``base``, priced through
+    the same zeroed buffer and dot as the ranking."""
+    gain = np.zeros_like(base)
+    scores = []
+    for _, positions, costs in cache.applicability.price(
+        cache.optimizer, pool
+    ):
+        gain[positions] = np.maximum(base[positions] - costs, 0.0)
+        scores.append(float(np.dot(cache.weights, gain)))
+        gain[positions] = 0.0
+    return scores
+
+
+def _group_bounds(cache, base, pool):
+    """Each leading attribute's gain bound: the weighted ``base`` cost
+    of the queries it applies to, through the ranking's buffer."""
+    gain = np.zeros_like(base)
+    bounds = {}
+    for index in pool:
+        if index.leading_attribute not in bounds:
+            positions = cache.applicability.positions(index)
+            gain[positions] = base[positions]
+            bounds[index.leading_attribute] = float(
+                np.dot(cache.weights, gain)
+            )
+            gain[positions] = 0.0
+    return bounds
+
+
+def _above_the_cut(workload, optimizer, selected, pool, max_pool):
+    """The pool candidates whose group bound reaches the final cut (the
+    ``max_pool``-th best gain of the whole pool) — exactly those the
+    ranking has to price — derived eagerly on ``optimizer``."""
+    cache = _CostCache(workload, optimizer)
+    base = cache.per_query_best(sorted(selected, key=_by_name))
+    gains = sorted(_eager_scores(cache, base, pool), reverse=True)
+    cut = gains[max_pool - 1] if max_pool <= len(pool) else -math.inf
+    bounds = _group_bounds(cache, base, pool)
+    return [
+        index for index in pool if bounds[index.leading_attribute] >= cut
+    ]
+
+
+def _price_columns_once(workload, optimizer, indexes):
+    """Price each index's applicable pairs once, per query (the
+    accounting reference for the ranking and the rounds)."""
+    queries = workload.queries
+    for index in indexes:
+        optimizer.index_costs(
+            [query for query in queries if index.is_applicable_to(query)],
+            index,
+        )
+
+
+class _PairRecorder(RecordingKernel):
+    """The recording kernel, also remembering every priced index."""
+
+    def __init__(self, schema) -> None:
+        super().__init__(schema)
+        self.indexes: set[Index] = set()
+
+    def pair_costs(self, pairs):
+        pairs = tuple(pairs)
+        self.indexes.update(index for _, index in pairs)
+        return super().pair_costs(pairs)
+
+
 class TestPoolPruning:
     """``max_pool`` below the pool size: the sparse ranking branch."""
 
@@ -203,7 +330,7 @@ class TestPoolPruning:
         )
         assert scores[ranking[cut - 1]] == scores[ranking[cut]]
         facade, _ = _extend(small_workload, budget)
-        kept = _prune_pool(
+        kept, priced = _prune_pool(
             _CostCache(small_workload, facade),
             set(start.configuration),
             pool,
@@ -211,6 +338,7 @@ class TestPoolPruning:
             Deadline.none(),
         )
         assert kept == ranking[:cut]
+        assert cut < priced < len(pool)
 
     def test_result_matches_run_on_reference_pruned_pool(
         self, small_workload, case
@@ -230,57 +358,121 @@ class TestPoolPruning:
         assert pruned.total_cost == expected.total_cost
         assert pruned.memory == expected.memory
 
-    def test_prices_each_pool_column_once(self, small_workload, case):
+    def test_prices_each_group_above_the_cut_once(
+        self, small_workload, case
+    ):
+        """Swap's what-if traffic is the sequential column, the selected
+        columns and every candidate of a group whose bound reaches the
+        cut, each priced once — and the bound left some group out."""
         budget, candidates, pool, _, cut = case
         facade, start = _extend(small_workload, budget)
         swap_local_search(
             small_workload, facade, start, budget, candidates, max_pool=cut
         )
+        selected = set(start.configuration)
+        scratch, _ = _extend(small_workload, budget)
+        above = _above_the_cut(small_workload, scratch, selected, pool, cut)
+        assert cut <= len(above) < len(pool)
         reference, _ = _extend(small_workload, budget)
-        queries = small_workload.queries
-        reference.sequential_costs(queries)
-        for index in [*sorted(start.configuration, key=_by_name), *pool]:
-            reference.index_costs(
-                [query for query in queries if index.is_applicable_to(query)],
-                index,
-            )
+        reference.sequential_costs(small_workload.queries)
+        _price_columns_once(
+            small_workload,
+            reference,
+            [*sorted(selected, key=_by_name), *above],
+        )
         assert facade.statistics.calls == reference.statistics.calls
         assert (
             facade.statistics.cache_hits == reference.statistics.cache_hits
         )
 
+    def test_no_pair_below_the_cut_reaches_the_backend(
+        self, small_workload, case
+    ):
+        budget, _, pool, _, cut = case
+        _, start = _extend(small_workload, budget)
+        selected = set(start.configuration)
+        scratch, _ = _extend(small_workload, budget)
+        above = _above_the_cut(small_workload, scratch, selected, pool, cut)
+        recorder = _PairRecorder(small_workload.schema)
+        _prune_pool(
+            _CostCache(small_workload, WhatIfOptimizer(recorder)),
+            selected,
+            pool,
+            cut,
+            Deadline.none(),
+        )
+        assert recorder.indexes - selected - {None} == set(above)
+        assert set(above) < set(pool)
+
+    def test_pool_span_counts_priced_and_pruned(self, small_workload, case):
+        budget, candidates, pool, _, cut = case
+        facade, start = _extend(small_workload, budget)
+        telemetry = Telemetry()
+        swap_local_search(
+            small_workload, facade, start, budget, candidates,
+            max_pool=cut, telemetry=telemetry,
+        )
+        snapshot = telemetry.snapshot()
+        [span] = [
+            span for span in snapshot.spans
+            if span.name == "localsearch.pool"
+        ]
+        priced, pruned = span.attributes["priced"], span.attributes["pruned"]
+        scratch, _ = _extend(small_workload, budget)
+        above = _above_the_cut(
+            small_workload, scratch, set(start.configuration), pool, cut
+        )
+        assert priced == len(above)
+        assert priced + pruned == len(pool)
+        assert snapshot.metrics["localsearch.pool_pruned"] == pruned > 0
+
     def test_deadline_expiring_during_pool_pricing(
         self, small_workload, case, monkeypatch
     ):
-        """Ranking stops after the first priced batch and the input
-        comes back tagged degraded, as at a round boundary."""
-        budget, candidates, _, _, cut = case
+        """Ranking stops once the first priced candidate's costs arrive
+        and the input comes back tagged degraded, as at a round
+        boundary."""
+        budget, candidates, pool, _, cut = case
         monkeypatch.setattr(whatif, "PAIR_CHUNK", 8)
+        queries = small_workload.queries
+        _, start = _extend(small_workload, budget)
+        selected = set(start.configuration)
 
         def run(deadline):
             source = RecordingKernel(small_workload.schema)
-            facade, start = _extend(small_workload, budget, source)
-            # The selected columns are then cache hits: the first pair
-            # batch the backend sees during swap is a pool chunk.
-            price_columns(
-                facade, small_workload.queries, start.configuration
-            )
+            facade = WhatIfOptimizer(source)
+            # Only the selected columns are cached: every pair batch
+            # the backend sees during swap is a pool chunk.
+            price_columns(facade, queries, start.configuration)
             source.pair_batches.clear()
             source.on_pair_batch = lambda: clock.advance(10.0)
             result = swap_local_search(
                 small_workload, facade, start, budget, candidates,
                 max_pool=cut, deadline=deadline,
             )
-            return start, result, len(source.pair_batches)
+            return result, len(source.pair_batches)
 
+        # The first priced candidate opens the group with the largest
+        # bound (ties in pool order); its pairs span this many chunks.
+        cache = _CostCache(
+            small_workload,
+            WhatIfOptimizer(VectorizedCostSource(small_workload.schema)),
+        )
+        bounds = _group_bounds(
+            cache, cache.per_query_best(sorted(selected, key=_by_name)), pool
+        )
+        first = max(pool, key=lambda index: bounds[index.leading_attribute])
+        chunks = math.ceil(
+            len(Applicability(queries).positions(first)) / whatif.PAIR_CHUNK
+        )
         clock = ManualClock()
-        start, result, batches = run(Deadline(5.0, clock=clock))
-        assert batches == 1
+        result, batches = run(Deadline(5.0, clock=clock))
+        assert batches == chunks
         assert result.status == STATUS_DEGRADED
         assert result.configuration == start.configuration
         assert result.total_cost == pytest.approx(start.total_cost)
-        _, unbounded, batches = run(None)
-        assert batches > 1
+        unbounded, batches = run(None)
+        assert batches > chunks
         assert unbounded.status != STATUS_DEGRADED
 
 
@@ -318,7 +510,9 @@ def _reference_swap(
     pool = [index for index in dict.fromkeys(candidate_pool)]
     pool = [index for index in pool if index not in selected]
     if len(pool) > max_pool:
-        pool = _prune_pool(cache, selected, pool, max_pool, Deadline.none())
+        pool, _ = _prune_pool(
+            cache, selected, pool, max_pool, Deadline.none()
+        )
     for index in pool:
         memory[index] = index_memory(schema, index)
     current_cost = _reference_cost(cache, selected)
@@ -414,13 +608,13 @@ ROWS = 10_000
 
 
 @st.composite
-def swap_cases(draw):
+def swap_cases(draw, pools=(3, 500)):
     """A workload of two tables with write templates, a starting
     selection (possibly empty), a budget near its memory, and a pool
-    cap.  ``A1`` is ``A0``'s twin — the same statistics, and queried
-    only together with it — so every index on one has a duplicate cost
-    column on the other, and ties between selected and candidate
-    columns are common."""
+    cap from ``pools``.  ``A1`` is ``A0``'s twin — the same statistics,
+    and queried only together with it — so every index on one has a
+    duplicate cost column on the other, and ties between selected and
+    candidate columns are common."""
     statistics = st.tuples(
         st.sampled_from([2, 40, 1_000, ROWS]), st.sampled_from([4, 8, 16])
     )
@@ -457,7 +651,7 @@ def swap_cases(draw):
     largest = max(index_memory(schema, index) for index in candidates)
     slack = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]))
     budget = configuration_memory(schema, start) + slack * largest
-    max_pool = draw(st.sampled_from([3, 500]))
+    max_pool = draw(st.sampled_from(pools))
     return workload, candidates, start, budget, max_pool
 
 
@@ -561,3 +755,157 @@ class TestSwapMatchesOracle:
         assert _swap_run(swap_local_search, case) == _swap_run(
             _reference_swap, case
         )
+
+
+# ----------------------------------------------------------------------
+# Oracle: the eager ranking that priced the whole pool
+# ----------------------------------------------------------------------
+
+
+def _analytic(workload):
+    return WhatIfOptimizer(AnalyticalCostSource(CostModel(workload.schema)))
+
+
+def _ranking_run(case):
+    """The bounded ranking of the case's pool on a fresh facade: the
+    kept list, the candidates priced, and the what-if statistics."""
+    workload, candidates, start, _, max_pool = case
+    optimizer = _analytic(workload)
+    selected = set(start)
+    pool = [index for index in candidates if index not in selected]
+    kept, priced = _prune_pool(
+        _CostCache(workload, optimizer),
+        selected,
+        pool,
+        max_pool,
+        Deadline.none(),
+    )
+    statistics = optimizer.statistics
+    return kept, priced, (statistics.calls, statistics.cache_hits)
+
+
+def _ranking_reference(case):
+    """The eager kept list, the candidates a bounded ranking must price,
+    and the statistics of pricing the selection and exactly those
+    candidates once on a fresh facade."""
+    workload, candidates, start, _, max_pool = case
+    selected = set(start)
+    pool = [index for index in candidates if index not in selected]
+    kept = _eager_prune_pool(
+        _CostCache(workload, _analytic(workload)), selected, pool, max_pool
+    )
+    above = _above_the_cut(
+        workload, _analytic(workload), selected, pool, max_pool
+    )
+    optimizer = _analytic(workload)
+    _CostCache(workload, optimizer).per_query_best(
+        sorted(selected, key=_by_name)
+    )
+    _price_columns_once(workload, optimizer, above)
+    statistics = optimizer.statistics
+    return kept, above, (statistics.calls, statistics.cache_hits)
+
+
+def _ranking_regimes(case):
+    """Which regimes of the bounded ranking a case exercises."""
+    workload, candidates, start, _, max_pool = case
+    pool = [index for index in candidates if index not in start]
+    if len(pool) <= max_pool:
+        return set()
+    cache = _CostCache(workload, _analytic(workload))
+    base = cache.per_query_best(sorted(start, key=_by_name))
+    gains = sorted(_eager_scores(cache, base, pool), reverse=True)
+    cut = gains[max_pool - 1]
+    regimes = set()
+    if min(_group_bounds(cache, base, pool).values()) < cut:
+        regimes.add("pruned")
+    if cut == 0.0:
+        regimes.add("cut-of-zero")
+    if cut == gains[max_pool] > 0.0:
+        regimes.add("tie-across-the-cut")
+    return regimes
+
+
+RANKING_POOLS = (1, 3, 500)
+
+
+class TestPoolRankingMatchesEager:
+    """The bounded ranking keeps exactly the eager ranking's list, and
+    prices exactly the groups whose bound reaches the cut, once."""
+
+    @given(case=swap_cases(pools=RANKING_POOLS))
+    @settings(max_examples=200, deadline=None)
+    def test_identical_kept_list_and_exact_calls(self, case):
+        kept, priced, statistics = _ranking_run(case)
+        eager, above, expected = _ranking_reference(case)
+        assert kept == eager
+        assert priced == len(above)
+        assert statistics == expected
+
+    @pytest.mark.parametrize(
+        "regime", ["pruned", "cut-of-zero", "tie-across-the-cut"]
+    )
+    @pytest.mark.parametrize("max_pool", RANKING_POOLS[:2])
+    def test_cases_reach_every_regime(self, regime, max_pool):
+        """At the small caps the strategy reaches a group left unpriced,
+        a cut of 0 (every group priced) and a tie across the cut (the
+        cap of 500 exceeds every pool: nothing is cut)."""
+        find(
+            swap_cases(pools=(max_pool,)),
+            lambda case: regime in _ranking_regimes(case),
+            settings=settings(
+                max_examples=500, deadline=None, phases=[Phase.generate]
+            ),
+        )
+
+    @pytest.mark.parametrize("size", [1, 16])
+    def test_a_bound_equal_to_the_cut_is_priced(self, size):
+        """``(1,)`` and ``(0, 1)`` cost nothing, so each gains exactly
+        its twin group's bound, and ``(1,)`` comes first in pool order:
+        its group's bound only ties the cut and must still be priced.
+        With sixteen queries, three of them on A0 and A1, a dot over
+        just those three sums in another order than the ranking's
+        buffer and can round below the gain."""
+        schema = Schema.build(
+            {"T": (ROWS, [(f"A{i}", 40, 4) for i in range(6)])}
+        )
+        if size == 1:
+            attributes, sequential = [frozenset({0, 1})], [10.0]
+        else:
+            twins = iter([{0, 1}, {0, 1, 2}, {0, 1, 3}])
+            rest = iter(
+                combination
+                for width in (1, 2, 3)
+                for combination in itertools.combinations(range(2, 6), width)
+            )
+            attributes = [
+                frozenset(next(twins) if position in (0, 1, 3) else next(rest))
+                for position in range(size)
+            ]
+            sequential = [1e16] + [1.0] * (size - 1)
+        workload = Workload(
+            schema,
+            [
+                Query(position, "T", subset, 1.0)
+                for position, subset in enumerate(attributes)
+            ],
+        )
+        first, twin, pair = (
+            Index.of(schema, columns) for columns in ((0,), (1,), (0, 1))
+        )
+
+        class FixedCosts:
+            def query_cost(self, query, index):
+                cost = sequential[query.query_id]
+                if index is None:
+                    return cost
+                return cost / 2 if index == first else 0.0
+
+        pool = [first, twin, pair]
+
+        def cache():
+            return _CostCache(workload, WhatIfOptimizer(FixedCosts()))
+
+        kept, priced = _prune_pool(cache(), set(), pool, 1, Deadline.none())
+        assert kept == _eager_prune_pool(cache(), set(), pool, 1) == [twin]
+        assert priced == 3
