@@ -2,7 +2,7 @@
 
 Covers the inner loops the experiments spend their time in: analytic
 cost-model evaluation, what-if facade lookups, engine probes and scans,
-and the BIP construction.
+exhaustive candidate generation, and the BIP construction.
 """
 
 from __future__ import annotations
@@ -74,6 +74,18 @@ def test_engine_full_scan(benchmark, bench_workload):
         lambda: executor.execute(query, literals)
     )
     assert measurement.traffic > 0
+
+
+def test_imax_generation(benchmark, bench_workload):
+    """Exhaustive candidate set ``I_max`` (width 4): one canonical
+    permutation per query-attribute subset, deduplicated."""
+    candidates = benchmark(
+        syntactically_relevant_candidates, bench_workload
+    )
+    assert len(candidates) == len(set(candidates)) > 0
+    assert candidates == sorted(
+        candidates, key=lambda index: (index.table_name, index.attributes)
+    )
 
 
 def test_cophy_problem_construction(benchmark, bench_workload, bench_optimizer):

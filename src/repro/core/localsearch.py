@@ -43,6 +43,9 @@ class _CostCache:
     def __init__(self, workload: Workload, optimizer: WhatIfOptimizer):
         self.optimizer = optimizer
         self._queries = workload.queries
+        self._writes = [
+            query for query in self._queries if not query.is_select
+        ]
         self.applicability = Applicability(self._queries)
         self.weights = np.array(
             [query.frequency for query in self._queries], dtype=np.float64
@@ -82,8 +85,7 @@ class _CostCache:
         total = sum(
             query.frequency
             * self.optimizer.maintenance_cost(query, index)
-            for query in self._queries
-            if not query.is_select
+            for query in self._writes
         )
         self._maintenance[index] = total
         return total
@@ -98,10 +100,12 @@ class _CostCache:
         self, best: np.ndarray, indexes: Iterable[Index]
     ) -> float:
         """``F`` from a selection's per-query minimum vector ``best``
-        plus the maintenance of ``indexes``, summed in their order."""
+        plus the maintenance of ``indexes``, summed in their order (none
+        without write queries)."""
         maintenance = 0.0
-        for index in indexes:
-            maintenance += self.maintenance_of(index)
+        if self._writes:
+            for index in indexes:
+                maintenance += self.maintenance_of(index)
         return float(np.dot(self.weights, best)) + maintenance
 
     def per_query_best(self, indexes: Iterable[Index]) -> np.ndarray:

@@ -22,7 +22,7 @@ from itertools import combinations, permutations
 from typing import Callable, Sequence
 
 from repro.exceptions import IndexDefinitionError
-from repro.indexes.index import Index, canonical_index
+from repro.indexes.index import Index, canonical_index, canonical_order_key
 from repro.workload.query import Workload
 from repro.workload.stats import WorkloadStatistics
 
@@ -70,21 +70,31 @@ def syntactically_relevant_candidates(
     of ``S`` (most selective attribute first).  Duplicates across queries
     are removed.  The result is deterministic: candidates are sorted by
     (table, attributes).
+
+    Each query's attributes are sorted into canonical order once; the
+    canonical order is a strict total order, so every subset
+    ``combinations`` takes from that order is already canonical.  The
+    attribute tuples are deduplicated per table and one :class:`Index`
+    is built per unique tuple — without :meth:`Index.of`'s validation,
+    which :class:`Workload` already guarantees (every query's attributes
+    belong to its table).
     """
     if max_width < 1:
         raise IndexDefinitionError(
             f"max_width must be >= 1, got {max_width}"
         )
-    schema = workload.schema
-    candidates: set[Index] = set()
+    key = canonical_order_key(workload.schema)
+    subsets: dict[str, set[tuple[int, ...]]] = {}
     for query in workload:
-        sorted_attributes = sorted(query.attributes)
-        for width in range(1, min(max_width, len(sorted_attributes)) + 1):
-            for subset in combinations(sorted_attributes, width):
-                candidates.add(canonical_index(schema, subset))
-    return sorted(
-        candidates, key=lambda index: (index.table_name, index.attributes)
-    )
+        ordered = sorted(query.attributes, key=key)
+        table_subsets = subsets.setdefault(query.table_name, set())
+        for width in range(1, min(max_width, len(ordered)) + 1):
+            table_subsets.update(combinations(ordered, width))
+    return [
+        Index(table_name, attributes)
+        for table_name in sorted(subsets)
+        for attributes in sorted(subsets[table_name])
+    ]
 
 
 def all_permutation_candidates(

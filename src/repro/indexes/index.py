@@ -9,13 +9,13 @@ so ``(A, B)`` and ``(B, A)`` are different indexes with different value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.exceptions import IndexDefinitionError
 from repro.workload.query import Query
 from repro.workload.schema import Schema
 
-__all__ = ["Index", "canonical_index"]
+__all__ = ["Index", "canonical_index", "canonical_order_key"]
 
 
 @dataclass(frozen=True)
@@ -166,20 +166,26 @@ class Index:
         return f"Index({self.table_name}, {self.attributes})"
 
 
+def canonical_order_key(schema: Schema) -> Callable[[int], tuple[int, int]]:
+    """Sort key of the canonical attribute order.
+
+    Descending distinct count — the most selective attribute leads,
+    which minimizes the scanned range for every usable prefix — with
+    ascending attribute id as the tie-breaker.  Attribute ids are
+    unique, so the key is a strict total order: any subsequence of a
+    canonically sorted attribute list is canonically sorted too.
+    """
+    distinct_values = schema.distinct_values
+    return lambda attribute_id: (-distinct_values(attribute_id), attribute_id)
+
+
 def canonical_index(schema: Schema, attribute_ids: Iterable[int]) -> Index:
     """The canonical ("presumably best") permutation of an attribute set.
 
-    Orders attributes by descending distinct count — the most selective
-    attribute leads, which minimizes the scanned range for every usable
-    prefix — with ascending attribute id as the tie-breaker.  Section IV-B
+    Orders attributes by :func:`canonical_order_key`.  Section IV-B
     mentions this representative-permutation reduction; we also use it to
     define the exhaustive candidate set ``I_max`` (see DESIGN.md §3.5).
     """
-    ordered = sorted(
-        attribute_ids,
-        key=lambda attribute_id: (
-            -schema.distinct_values(attribute_id),
-            attribute_id,
-        ),
+    return Index.of(
+        schema, sorted(attribute_ids, key=canonical_order_key(schema))
     )
-    return Index.of(schema, ordered)

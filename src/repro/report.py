@@ -175,14 +175,14 @@ def build_report(
             serves[best_index].append(query.query_id)
             regret[best_index] += query.frequency * (second_cost - best_cost)
 
+    writes = [query for query in workload if not query.is_select]
     index_reports = []
     for index in sorted(
         configuration, key=lambda index: (index.table_name, index.attributes)
     ):
         maintenance = sum(
             query.frequency * optimizer.maintenance_cost(query, index)
-            for query in workload
-            if not query.is_select
+            for query in writes
         )
         index_reports.append(
             IndexReport(

@@ -22,10 +22,12 @@ Operations (``"op"`` key)::
     {"op": "shutdown"}
 
 ``queries`` entries are SQL template strings or ``[sql, frequency]``
-pairs.  Every response carries ``"ok"`` plus an echoed ``"id"`` when
-the request had one — including error responses: even a line that does
-not parse as JSON has its ``"id"`` salvaged textually when possible,
-so request/response correlation survives malformed input.  With
+pairs with a positive finite frequency; any other entry is an
+``invalid_request`` naming its position.  Every response carries
+``"ok"`` plus an echoed ``"id"`` when the request had one — including
+error responses: even a line that does not parse as JSON has its
+``"id"`` salvaged textually when possible, so request/response
+correlation survives malformed input.  With
 ``"stream": true`` a recommend emits each step event as
 ``{"ok": true, "op": "event", ...}`` lines before the final response,
 so a client sees the construction frontier live.

@@ -17,6 +17,8 @@ maintenance on every index of the table.
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -62,7 +64,7 @@ class Query:
         written attributes (a deliberate simplification — see
         DESIGN.md §3).
     frequency:
-        Number of occurrences ``b_j`` (a positive weight).
+        Number of occurrences ``b_j`` (a positive, finite real weight).
     kind:
         The query type; defaults to SELECT.
     """
@@ -78,10 +80,15 @@ class Query:
             raise WorkloadError(
                 f"query {self.query_id} accesses no attributes"
             )
-        if self.frequency <= 0:
+        if (
+            isinstance(self.frequency, bool)
+            or not isinstance(self.frequency, numbers.Real)
+            or not math.isfinite(self.frequency)
+            or self.frequency <= 0
+        ):
             raise WorkloadError(
-                f"query {self.query_id} needs a positive frequency, got "
-                f"{self.frequency}"
+                f"query {self.query_id} needs a positive finite frequency, "
+                f"got {self.frequency!r}"
             )
         # Content identity for cost caching: costs depend on the table,
         # the attribute set, and the kind — never on query_id or

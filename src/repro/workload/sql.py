@@ -172,13 +172,29 @@ def workload_from_sql(
 
     ``templates`` is either a list of SQL strings (frequency 1 each) or
     ``(sql, frequency)`` pairs.  Query ids are assigned sequentially.
+
+    Raises
+    ------
+    WorkloadError
+        For an entry that is neither a string nor a ``(sql, frequency)``
+        pair (naming its position), a frequency that is not a positive
+        finite number, or a template :func:`parse_template` rejects.
     """
     queries: list[Query] = []
     for position, entry in enumerate(templates):
         if isinstance(entry, str):
             sql, frequency = entry, 1.0
-        else:
+        elif (
+            isinstance(entry, (tuple, list))
+            and len(entry) == 2
+            and isinstance(entry[0], str)
+        ):
             sql, frequency = entry
+        else:
+            raise WorkloadError(
+                f"template entry {position} must be an SQL string or an "
+                f"(sql, frequency) pair, got {entry!r}"
+            )
         queries.append(
             parse_template(
                 schema, sql, query_id=position, frequency=frequency

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -32,6 +33,7 @@ from repro.indexes.memory import (
     index_memory,
     relative_budget,
 )
+from repro.report import build_report
 from repro.resilience import Deadline, ManualClock
 from repro.telemetry import StepEvent, Telemetry
 from repro.workload.query import Query, QueryKind, Workload
@@ -156,6 +158,77 @@ class TestSwapLocalSearch:
         ranked = _prune_pool(cache, selected, pool, 0, Deadline.none())
         assert ranked == ([], 0)
         assert facade.statistics.since(before).total_requests == 0
+
+    @pytest.mark.parametrize("writes", [False, True])
+    def test_maintenance_is_priced_only_for_write_queries(
+        self, small_workload, monkeypatch, writes
+    ):
+        """On a SELECT-only workload neither the swap pass nor the
+        report calls ``maintenance_cost``; with writes both do, and
+        only for the write queries."""
+        workload = small_workload
+        if writes:
+            workload = Workload(
+                workload.schema,
+                [
+                    dataclasses.replace(query, kind=QueryKind.UPDATE)
+                    if query.query_id % 4 == 0
+                    else query
+                    for query in workload
+                ],
+            )
+        budget = relative_budget(workload.schema, 0.2)
+        facade, start = _extend(workload, budget)
+        priced = []
+        maintenance_cost = facade.maintenance_cost
+
+        def spy(query, index):
+            priced.append(query)
+            return maintenance_cost(query, index)
+
+        monkeypatch.setattr(facade, "maintenance_cost", spy)
+        result = swap_local_search(
+            workload, facade, start, budget,
+            syntactically_relevant_candidates(workload),
+        )
+        swap_priced = len(priced)
+        build_report(workload, facade, result)
+        if writes:
+            assert swap_priced > 0 and len(priced) > swap_priced
+            assert all(not query.is_select for query in priced)
+        else:
+            assert priced == []
+
+    def test_query_kinds_are_read_once_not_per_index(
+        self, small_workload, monkeypatch
+    ):
+        """The write queries are collected once: swap reads each
+        query's kind at most once however many indexes it meets, and
+        the report's reads do not grow with the selection."""
+        reads = Counter()
+        is_select = Query.is_select
+
+        def counting(query):
+            reads[query.query_id] += 1
+            return is_select.fget(query)
+
+        facade, start = _extend(
+            small_workload, relative_budget(small_workload.schema, 0.05)
+        )
+        budget = relative_budget(small_workload.schema, 0.4)
+        monkeypatch.setattr(Query, "is_select", property(counting))
+        result = swap_local_search(
+            small_workload, facade, start, budget,
+            syntactically_relevant_candidates(small_workload),
+        )
+        assert max(reads.values()) == 1
+        per_report = []
+        for selection in (start, result):
+            reads.clear()
+            build_report(small_workload, facade, selection)
+            per_report.append(sum(reads.values()))
+        assert len(result.configuration) > len(start.configuration)
+        assert per_report[0] == per_report[1]
 
     def test_can_recover_greedy_mistakes(self, tiny_workload, tiny_optimizer):
         """Starting from a deliberately bad selection, the swap pass must

@@ -5,6 +5,8 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import IndexDefinitionError
 from repro.indexes.candidates import (
@@ -16,7 +18,53 @@ from repro.indexes.candidates import (
     syntactically_relevant_candidates,
 )
 from repro.indexes.index import canonical_index
+from repro.workload.generator import GeneratorConfig, generate_workload
+from repro.workload.query import Workload
+from repro.workload.schema import Schema
 from repro.workload.stats import WorkloadStatistics
+
+
+def per_subset_candidates(workload, max_width):
+    """The reference ``I_max``: every subset of every query, each built
+    through :func:`canonical_index` (sort, validate) and deduplicated as
+    indexes."""
+    schema = workload.schema
+    candidates = set()
+    for query in workload:
+        attributes = sorted(query.attributes)
+        for width in range(1, min(max_width, len(attributes)) + 1):
+            for subset in combinations(attributes, width):
+                candidates.add(canonical_index(schema, subset))
+    return sorted(
+        candidates, key=lambda index: (index.table_name, index.attributes)
+    )
+
+
+@st.composite
+def workloads(draw):
+    """1–3 tables whose names sort against their attribute ids, with
+    distinct counts drawn from a few values so the id tie-break
+    decides the canonical order often, and queries both narrower and
+    wider than any width the test asks for."""
+    names = ["Z", "M", "A"][: draw(st.integers(min_value=1, max_value=3))]
+    tables = {
+        name: (
+            1_000,
+            [
+                (f"{name}{position}", draw(st.sampled_from([1, 7, 50])), 4)
+                for position in range(draw(st.integers(1, 7)))
+            ],
+        )
+        for name in names
+    }
+    schema = Schema.build(tables)
+    specs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        table = draw(st.sampled_from(names))
+        ids = [attribute.id for attribute in schema.attributes_of_table(table)]
+        attributes = draw(st.sets(st.sampled_from(ids), min_size=1))
+        specs.append((table, attributes, 1.0))
+    return Workload.from_attribute_sets(schema, specs)
 
 
 class TestSyntacticallyRelevant:
@@ -54,6 +102,25 @@ class TestSyntacticallyRelevant:
     def test_rejects_zero_width(self, tiny_workload):
         with pytest.raises(IndexDefinitionError, match="max_width"):
             syntactically_relevant_candidates(tiny_workload, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(workload=workloads(), max_width=st.integers(1, 5))
+    def test_matches_per_subset_construction(self, workload, max_width):
+        expected = per_subset_candidates(workload, max_width)
+        actual = syntactically_relevant_candidates(workload, max_width)
+        # Index equality compares table_name and attributes.
+        assert actual == expected
+
+    def test_fig2_instance_size(self):
+        """|I_max| of the Fig. 2 instance (Appendix C, Q = 1 000) at
+        width 4; the enterprise instance's 10 569 is pinned in
+        ``tests/workload/test_enterprise.py``."""
+        workload = generate_workload(
+            GeneratorConfig(queries_per_table=100, seed=1909)
+        )
+        candidates = syntactically_relevant_candidates(workload, 4)
+        assert len(candidates) == 46_359
+        assert candidates == per_subset_candidates(workload, 4)
 
 
 class TestAllPermutations:

@@ -161,6 +161,46 @@ class TestErrors:
         assert no_budget["code"] == "invalid_budget"
         assert stats["ok"]
 
+    def test_hostile_template_entries_do_not_kill_the_loop(self, service):
+        sql = "SELECT * FROM ORDERS WHERE ID = ?"
+        entries = [
+            [sql],
+            [sql, 1.0, 2.0],
+            [sql, float("nan")],
+            [sql, float("inf")],
+            [sql, "5"],
+            [sql, None],
+            7,
+        ]
+        lines = [
+            {"id": position, "op": "register", "workload": "w",
+             "queries": [sql, entry]}
+            for position, entry in enumerate(entries)
+        ]
+        handled, responses = run_protocol(
+            service,
+            [
+                *lines,
+                {"id": "u", "op": "update", "workload": "base",
+                 "queries": [[sql]]},
+                {"id": "r", "op": "recommend", "workload": "base",
+                 "budget_share": 0.5},
+                {"id": "s", "op": "stats"},
+            ],
+        )
+        assert handled == len(entries) + 3
+        *rejected, recommend, stats = responses
+        assert len(rejected) == len(entries) + 1
+        for response in rejected:
+            assert response["ok"] is False
+            assert response["error"] == "WorkloadError"
+            assert response["code"] == "invalid_request"
+        assert "template entry 1 " in rejected[0]["message"]
+        assert "finite frequency" in rejected[2]["message"]
+        assert "template entry 0 " in rejected[-1]["message"]
+        assert recommend["ok"] and recommend["total_cost"] > 0
+        assert stats["workloads"] == ["base"]
+
     def test_bad_candidate_width_is_rejected_before_admission(
         self, service
     ):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.exceptions import WorkloadError
@@ -24,6 +27,24 @@ class TestQuery:
             Query(0, "T", frozenset({1}), 0.0)
         with pytest.raises(WorkloadError, match="frequency"):
             Query(0, "T", frozenset({1}), -2.0)
+
+    @pytest.mark.parametrize(
+        "frequency", [math.nan, math.inf, -math.inf]
+    )
+    def test_rejects_non_finite_frequency(self, frequency):
+        with pytest.raises(WorkloadError, match="finite frequency"):
+            Query(0, "T", frozenset({1}), frequency)
+
+    @pytest.mark.parametrize("frequency", ["5", None, True, [1.0], 1j])
+    def test_rejects_non_numeric_frequency(self, frequency):
+        with pytest.raises(WorkloadError, match="frequency"):
+            Query(0, "T", frozenset({1}), frequency)
+
+    @pytest.mark.parametrize(
+        "frequency", [3, 2.5, np.float64(4.0), np.int64(7)]
+    )
+    def test_accepts_real_frequencies(self, frequency):
+        assert Query(0, "T", frozenset({1}), frequency).frequency == frequency
 
 
 class TestWorkload:

@@ -150,6 +150,39 @@ class TestWorkloadFromSql:
         assert workload.query(0).frequency == 100.0
         assert workload.query(1).kind is QueryKind.UPDATE
 
+    def test_list_pairs_are_accepted(self, tiny_schema):
+        workload = workload_from_sql(
+            tiny_schema, [["SELECT * FROM ORDERS WHERE ID = ?", 3.0]]
+        )
+        assert workload.query(0).frequency == 3.0
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            ("SELECT * FROM ORDERS WHERE ID = ?",),
+            ("SELECT * FROM ORDERS WHERE ID = ?", 1.0, 2.0),
+            (1.0, "SELECT * FROM ORDERS WHERE ID = ?"),
+            None,
+            42,
+            {"sql": "SELECT * FROM ORDERS WHERE ID = ?"},
+        ],
+    )
+    def test_rejects_malformed_entries_by_position(self, tiny_schema, entry):
+        with pytest.raises(WorkloadError, match="template entry 1 "):
+            workload_from_sql(
+                tiny_schema, ["SELECT * FROM ORDERS WHERE ID = ?", entry]
+            )
+
+    @pytest.mark.parametrize(
+        "frequency", [float("nan"), float("inf"), "5", None, 0.0]
+    )
+    def test_rejects_bad_frequencies(self, tiny_schema, frequency):
+        with pytest.raises(WorkloadError, match="frequency"):
+            workload_from_sql(
+                tiny_schema,
+                [("SELECT * FROM ORDERS WHERE ID = ?", frequency)],
+            )
+
     def test_end_to_end_selection_from_sql(self, tiny_schema):
         """The full pipeline: SQL strings in, index recommendation out."""
         from repro.core.extend import ExtendAlgorithm
