@@ -7,14 +7,18 @@ against the scalar :class:`~repro.cost.model.CostModel`, once against
 the compiled :class:`~repro.cost.kernel.VectorizedCostSource` — and
 asserts the kernel's contract:
 
-* wall-clock speedup >= 5x (best-of-N, GC parked during timing),
+* wall-clock speedup >= 5x (the median of per-round ratios, GC
+  parked during timing),
 * every shared entry within 1e-9 relative tolerance,
 * identical key sets and identical ``WhatIfStatistics`` accounting
   (``calls`` and ``cache_hits``) on both backends.
 
 Timing runs with the collector disabled (collecting between
-iterations): the scalar sweep allocates millions of tuples and
-generational GC pauses otherwise add 30-50% run-to-run noise.
+sweeps): the scalar sweep allocates millions of tuples and
+generational GC pauses otherwise add 30-50% run-to-run noise.  The two
+backends are timed in alternating rounds (scalar first in even rounds)
+and each round yields one scalar/vectorized ratio, so a drift in the
+host's speed moves both halves of a ratio instead of only one.
 
 Also usable standalone for the CI regression gate::
 
@@ -36,6 +40,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -74,26 +79,31 @@ def _build():
     return workload, candidates
 
 
-def _time_cost_table(make_optimizer, workload, candidates):
-    """Best-of-N wall clock for one backend, collector parked.
+def _time_rounds(make_scalar, make_vectorized, workload, candidates):
+    """``ITERATIONS`` alternating rounds of both backends, collector
+    parked; returns per-backend seconds, tables and optimizers.
 
-    A fresh optimizer per iteration keeps the facade cache cold so
-    every iteration times the real sweep, not dictionary lookups.
+    A fresh optimizer per sweep keeps the facade cache cold so every
+    sweep times the real pricing, not dictionary lookups.  Even rounds
+    time the scalar backend first, odd rounds the vectorized one.
     """
-    best = float("inf")
-    table = None
-    optimizer = None
+    makers = {"scalar": make_scalar, "vectorized": make_vectorized}
+    seconds = {name: [] for name in makers}
+    tables, optimizers = {}, {}
     gc.disable()
     try:
-        for _ in range(ITERATIONS):
-            optimizer = make_optimizer()
-            start = time.perf_counter()
-            table = optimizer.cost_table(workload, candidates)
-            best = min(best, time.perf_counter() - start)
-            gc.collect()
+        for round_ in range(ITERATIONS):
+            order = ("scalar", "vectorized")
+            for name in order if round_ % 2 == 0 else order[::-1]:
+                optimizer = makers[name]()
+                start = time.perf_counter()
+                tables[name] = optimizer.cost_table(workload, candidates)
+                seconds[name].append(time.perf_counter() - start)
+                optimizers[name] = optimizer
+                gc.collect()
     finally:
         gc.enable()
-    return best, table, optimizer
+    return seconds, tables, optimizers
 
 
 def _worst_relative_difference(scalar_table, vector_table) -> float:
@@ -108,14 +118,6 @@ def _worst_relative_difference(scalar_table, vector_table) -> float:
 def measure() -> dict:
     """Scalar vs vectorized cost-table sweep on the Fig. 4 workload."""
     workload, candidates = _build()
-
-    scalar_seconds, scalar_table, scalar_optimizer = _time_cost_table(
-        lambda: WhatIfOptimizer(
-            AnalyticalCostSource(CostModel(workload.schema))
-        ),
-        workload,
-        candidates,
-    )
     vector_source: list[VectorizedCostSource] = []
 
     def make_vectorized() -> WhatIfOptimizer:
@@ -123,8 +125,20 @@ def measure() -> dict:
         vector_source.append(source)
         return WhatIfOptimizer(source)
 
-    vector_seconds, vector_table, vector_optimizer = _time_cost_table(
-        make_vectorized, workload, candidates
+    seconds, tables, optimizers = _time_rounds(
+        lambda: WhatIfOptimizer(
+            AnalyticalCostSource(CostModel(workload.schema))
+        ),
+        make_vectorized,
+        workload,
+        candidates,
+    )
+    scalar_table, vector_table = tables["scalar"], tables["vectorized"]
+    scalar_optimizer = optimizers["scalar"]
+    vector_optimizer = optimizers["vectorized"]
+    speedup = statistics.median(
+        scalar / vector
+        for scalar, vector in zip(seconds["scalar"], seconds["vectorized"])
     )
 
     if scalar_table.keys() != vector_table.keys():
@@ -161,9 +175,11 @@ def measure() -> dict:
         "cache_hits": vector_statistics.cache_hits,
         "kernel_batch_pairs": kernel_statistics.batch_pairs,
         "kernel_batch_calls": kernel_statistics.batch_calls,
-        "scalar_seconds": round(scalar_seconds, 4),
-        "vectorized_seconds": round(vector_seconds, 4),
-        "speedup": round(scalar_seconds / vector_seconds, 2),
+        "scalar_seconds": round(statistics.median(seconds["scalar"]), 4),
+        "vectorized_seconds": round(
+            statistics.median(seconds["vectorized"]), 4
+        ),
+        "speedup": round(speedup, 2),
         "worst_relative_difference": worst,
     }
 

@@ -145,15 +145,6 @@ class KernelStacks:
         analytic source itself (infallible, no fallbacks needed).
     policy:
         Default retry/breaker policy for the resilient wrappers.
-    facade_source_wrapper:
-        Optional hook called as ``wrapper(resilient, kernel)`` when a
-        stack is first built; whatever it returns becomes the source
-        the kernel's :class:`WhatIfOptimizer` prices through.  The
-        service uses this to slot its cross-request
-        :class:`~repro.service.coalescer.PricingCoalescer` between the
-        facade and the resilient source without the advisor layer
-        importing the service package.  Returning ``resilient``
-        unchanged (or passing ``None``) keeps the classic stack.
     whatif_cache_entries:
         Optional LRU bound forwarded to every kernel's
         :class:`WhatIfOptimizer` (``None`` = unbounded).
@@ -165,13 +156,11 @@ class KernelStacks:
         *,
         cost_source: CostSource | None = None,
         policy: ResiliencePolicy | None = None,
-        facade_source_wrapper=None,
         whatif_cache_entries: int | None = None,
     ) -> None:
         self._schema = schema
         self._cost_source = cost_source
         self._policy = policy
-        self._facade_source_wrapper = facade_source_wrapper
         self._whatif_cache_entries = whatif_cache_entries
         self._analytic: dict[str, CostSource] = {}
         self._stacks: dict[
@@ -215,16 +204,10 @@ class KernelStacks:
             resilient = ResilientCostSource(
                 primary, policy=self._policy, fallbacks=fallbacks
             )
-            facade_source: CostSource = resilient
-            if self._facade_source_wrapper is not None:
-                facade_source = self._facade_source_wrapper(
-                    resilient, kernel
-                )
             stack = (
                 resilient,
                 WhatIfOptimizer(
-                    facade_source,
-                    max_entries=self._whatif_cache_entries,
+                    resilient, max_entries=self._whatif_cache_entries
                 ),
             )
             self._stacks[kernel] = stack

@@ -479,9 +479,6 @@ def _serve(arguments: argparse.Namespace) -> int:
             backoff_base_s=0.0,
         ),
         cost_kernel=arguments.cost_kernel,
-        coalesce=not arguments.no_coalesce,
-        batch_window_ms=arguments.batch_window_ms,
-        coalesce_max_pairs=arguments.coalesce_max_pairs,
         whatif_cache_entries=arguments.whatif_cache_entries,
         snapshot_dir=arguments.snapshot_dir,
         snapshot_interval_s=arguments.snapshot_interval,
@@ -692,25 +689,6 @@ def main(argv: list[str] | None = None) -> int:
         help="requests allowed to wait beyond the executing ones "
         "(default 8); submits past max-concurrency + queue-depth are "
         "rejected fail-fast",
-    )
-    serve.add_argument(
-        "--batch-window-ms", type=_positive_float, default=2.0,
-        metavar="MS",
-        help="micro-batch window of the cross-request pricing "
-        "coalescer: how long the first enqueued pair waits for "
-        "concurrent company before the fused batch dispatches "
-        "(default 2.0; skipped entirely while the service is idle)",
-    )
-    serve.add_argument(
-        "--coalesce-max-pairs", type=_positive_int, default=32768,
-        metavar="N",
-        help="fused-batch cap of the coalescer: a window closes early "
-        "once this many pairs are pending (default 32768)",
-    )
-    serve.add_argument(
-        "--no-coalesce", action="store_true",
-        help="disable cross-request pricing coalescing (every request "
-        "dispatches its own backend batches, as before)",
     )
     serve.add_argument(
         "--whatif-cache-entries", type=_positive_int, default=None,

@@ -14,11 +14,6 @@ the seeded chaos harness in :mod:`repro.service.chaos`
 (``python -m repro.service.chaos``).
 """
 
-from repro.service.coalescer import (
-    CoalescerStatistics,
-    PricingCoalescer,
-    waiter_deadline,
-)
 from repro.service.daemon import (
     AdvisorService,
     ServiceStatistics,
@@ -40,9 +35,7 @@ from repro.service.protocol import error_code, serve_loop
 
 __all__ = [
     "AdvisorService",
-    "CoalescerStatistics",
     "EventStream",
-    "PricingCoalescer",
     "RecommendRequest",
     "RecommendResponse",
     "RestoreReport",
@@ -55,5 +48,4 @@ __all__ = [
     "WorkloadRegistry",
     "error_code",
     "serve_loop",
-    "waiter_deadline",
 ]

@@ -28,10 +28,11 @@ Scenarios (``SCENARIOS``):
     crash, and the service must answer a repeat sweep over the same
     registration cleanly afterwards.
 ``malformed_lines``
-    The JSON-lines loop is fed truncated JSON, binary junk, non-object
-    lines, and unknown ops; every line must produce exactly one
-    response, errors must carry stable ``code`` tags, and ``id``
-    correlation must survive even unparseable lines.
+    The JSON-lines loop is fed truncated JSON, binary junk, nesting
+    too deep for the parser, non-object lines, and unknown ops; every
+    line must produce exactly one response, errors must carry stable
+    ``code`` tags, and ``id`` correlation must survive even
+    unparseable lines.
 ``client_disconnect``
     Streaming clients vanish mid-stream (broken pipe on the protocol,
     closed generators on the API); subscriptions must not leak and the
@@ -48,18 +49,6 @@ Scenarios (``SCENARIOS``):
     requests past their deadline must degrade (not crash, not hang) and
     a manual watchdog sweep over a skewed clock must cancel only
     genuinely in-flight overdue work.
-``coalescer_waiter_storm``
-    A storm of concurrent cold requests fuses its pricing into shared
-    coalescer batches.  The backend holds the storm's first batch until
-    every storm request has entered the coalescer and waits on it, then
-    loses it to one scripted
-    :class:`~repro.exceptions.TransientCostSourceError`.  Every waiter
-    must reach exactly one terminal outcome (the resilient retry heals
-    the lost batch for all of them at once, visible as
-    ``resilience.retries`` on the storm responses), the
-    recommendations must stay bit-identical to a healthy baseline, and
-    the ``coalescer.*`` gauges must show the storm actually coalesced
-    (fused batches, nonzero cross-request dedup).
 
 Scenarios use ``max_concurrency=1`` where the *report* depends on call
 order, so one seed always yields one report —
@@ -76,18 +65,13 @@ import random
 import sys
 import tempfile
 import threading
-import time
 from concurrent.futures import TimeoutError as _FutureTimeoutError
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.cost.kernel import VectorizedCostSource
 from repro.cost.model import CostModel
 from repro.cost.whatif import AnalyticalCostSource
-from repro.exceptions import (
-    TransientCostSourceError,
-    WatchdogTimeoutError,
-)
+from repro.exceptions import WatchdogTimeoutError
 from repro.resilience.faults import (
     FaultInjectingCostSource,
     ManualClock,
@@ -110,14 +94,10 @@ SCENARIOS = (
     "client_disconnect",
     "corrupt_snapshot",
     "clock_skew",
-    "coalescer_waiter_storm",
 )
 
 _BUDGET_SHARE = 0.3
 _OUTCOME_WAIT_S = 30.0
-# How long the storm scenario's backend holds its first batch for the
-# rest of the storm to arrive.
-_HOLD_S = 10.0
 
 # Sweep-chaos grid: on the enterprise workload below, at least one
 # budget past the first still prices fresh candidates (tight budgets
@@ -211,43 +191,6 @@ class _ExplodingSource:
     def multi_index_cost(self, query, indexes):
         self._chaos()
         return self._inner.multi_index_cost(query, indexes)
-
-
-class _LosesOneBatch(VectorizedCostSource):
-    """The vectorized kernel, losing one ``pair_costs`` batch on cue.
-
-    Healthy until :meth:`arm`; the first later ``pair_costs`` call
-    (the coalescer dispatches every batch through that entry point) is
-    held until ``ready()`` holds, then raises one
-    :class:`TransientCostSourceError`, and every call after it is
-    healthy again.  A hold that outlasts ``_HOLD_S`` gives up waiting
-    (``held_until_ready`` is then False) and loses the batch anyway.
-    """
-
-    def __init__(self, schema) -> None:
-        super().__init__(schema)
-        self._ready = None
-        self._arm_lock = threading.Lock()
-        self.lost_batches = 0
-        self.held_until_ready = False
-
-    def arm(self, ready) -> None:
-        with self._arm_lock:
-            self._ready = ready
-
-    def pair_costs(self, pairs):
-        with self._arm_lock:
-            ready, self._ready = self._ready, None
-        if ready is None:
-            return super().pair_costs(pairs)
-        give_up = time.monotonic() + _HOLD_S
-        while not ready() and time.monotonic() < give_up:
-            time.sleep(0.001)
-        self.held_until_ready = ready()
-        self.lost_batches += 1
-        raise TransientCostSourceError(
-            "chaos: the backend lost the storm's shared pricing batch"
-        )
 
 
 class _DroppingOutput(io.StringIO):
@@ -694,165 +637,6 @@ class ChaosHarness:
             self._settle_and_check(service, tickets, report)
         return report
 
-    def _run_coalescer_waiter_storm(self) -> ScenarioReport:
-        report = ScenarioReport("coalescer_waiter_storm", self.seed)
-        storm_size = 4
-        source = _LosesOneBatch(self._schema)
-        # A generous window lets the storm's racing cold misses meet
-        # inside it and fuse after the held batch; the idle fast path
-        # keeps the serial baseline request quick.
-        service = AdvisorService(
-            self._schema,
-            max_concurrency=storm_size,
-            queue_depth=storm_size,
-            cost_source=source,
-            batch_window_ms=75.0,
-            drain_timeout_s=5.0,
-        )
-        tickets: list = []
-        try:
-            # Separate registrations for the same workload: the storm
-            # must price cold through the backend, not read the
-            # baseline request's warm benefit tables.
-            service.register_workload("storm-warm", self._workload)
-            service.register_workload("storm-cold", self._workload)
-            baseline_ticket = service.submit(
-                RecommendRequest(
-                    workload="storm-warm",
-                    budget_share=_BUDGET_SHARE,
-                    request_id="storm-0",
-                )
-            )
-            tickets.append(baseline_ticket)
-            baseline = baseline_ticket.result(timeout_s=_OUTCOME_WAIT_S)
-            # The facade cache is shared and content-addressed;
-            # dropping it forces the storm to genuinely re-price
-            # through coalescer -> resilient -> backend.
-            resilient, optimizer = service.kernel_stacks.stack(
-                "vectorized"
-            )
-            optimizer.clear_cache()
-            coalescer = service.coalescer("vectorized")
-            if coalescer is None:
-                report.violations.append(
-                    "service built no coalescer for the vectorized "
-                    "stack; scenario vacuous"
-                )
-                return report
-            before = coalescer.statistics.copy()
-            retries_before = resilient.statistics.retries
-            # Hold the storm's first batch until every storm request
-            # has entered the coalescer, then lose it: the requests
-            # race the same cold pairs, so each one waits on that batch
-            # (the storm overlaps by construction, however the threads
-            # are scheduled) and depends on the retry.
-            source.arm(
-                lambda: coalescer.statistics.callers
-                >= before.callers + storm_size
-            )
-            storm = [
-                service.submit(
-                    RecommendRequest(
-                        workload="storm-cold",
-                        budget_share=_BUDGET_SHARE,
-                        request_id=f"storm-{position + 1}",
-                    )
-                )
-                for position in range(storm_size)
-            ]
-            tickets.extend(storm)
-            responses = [
-                ticket.result(timeout_s=_OUTCOME_WAIT_S)
-                for ticket in storm
-            ]
-            report.details["storm_waiters"] = storm_size
-            for response in responses:
-                if response.status != "completed":
-                    report.violations.append(
-                        f"storm request {response.request_id} "
-                        f"finished {response.status!r}, expected a "
-                        "clean completion"
-                    )
-                if response.indexes != baseline.indexes:
-                    report.violations.append(
-                        f"storm request {response.request_id} "
-                        "recommendation differs from the healthy "
-                        "baseline configuration"
-                    )
-                if (
-                    response.result.total_cost
-                    != baseline.result.total_cost
-                ):
-                    report.violations.append(
-                        f"storm request {response.request_id} total "
-                        f"cost {response.result.total_cost!r} is not "
-                        "bit-identical to the baseline "
-                        f"{baseline.result.total_cost!r}"
-                    )
-                if "coalescer.batches" not in response.gauges:
-                    report.violations.append(
-                        f"storm request {response.request_id} "
-                        "response carries no coalescer.* gauges"
-                    )
-            storm_stats = coalescer.statistics.copy()
-            fused = storm_stats.batches - before.batches
-            deduped = (
-                storm_stats.deduped_pairs - before.deduped_pairs
-            )
-            # The resilience gauges are lifetime counters recorded at
-            # completion, so every storm request finishing after the
-            # lost batch carries its retry.
-            retried = max(
-                response.gauges.get("resilience.retries", 0.0)
-                for response in responses
-            )
-            statistics = resilient.statistics
-            # Raw batch counts depend on how the storm's threads
-            # interleave; the report keeps only their seed-stable
-            # truth values.
-            report.details["storm_coalesced"] = fused >= 1
-            report.details["storm_deduped"] = deduped > 0
-            report.details["lost_batches"] = source.lost_batches
-            report.details["storm_held"] = source.held_until_ready
-            report.details["storm_retries"] = (
-                statistics.retries - retries_before
-            )
-            if fused < 1:
-                report.violations.append(
-                    "the storm never dispatched a fused coalescer "
-                    "batch; scenario vacuous"
-                )
-            if deduped <= 0:
-                report.violations.append(
-                    "concurrent storm requests shared no work items "
-                    "(coalescer.deduped_pairs flat); the storm never "
-                    "coalesced"
-                )
-            if not source.held_until_ready:
-                report.violations.append(
-                    "the lost batch was released before every storm "
-                    "request entered the coalescer"
-                )
-            if source.lost_batches != 1:
-                report.violations.append(
-                    f"the backend lost {source.lost_batches} batches, "
-                    "expected exactly the 1 scripted one"
-                )
-            if retried < 1:
-                report.violations.append(
-                    "no storm response shows resilience.retries; the "
-                    "lost batch was never retried"
-                )
-            if statistics.fallback_calls:
-                report.violations.append(
-                    "the retry should have healed the primary; "
-                    f"{statistics.fallback_calls} call(s) leaked to "
-                    "the fallback chain"
-                )
-        finally:
-            self._settle_and_check(service, tickets, report)
-        return report
-
     def _run_malformed_lines(self) -> ScenarioReport:
         report = ScenarioReport("malformed_lines", self.seed)
         rng = random.Random(self.seed)
@@ -879,6 +663,7 @@ class ChaosHarness:
             recommend,
             truncated_with_id,
             junk,
+            "[" * 100_000,
             "[1,2,3]",
             json.dumps({"id": 9, "op": "frobnicate"}),
             json.dumps({"id": 10, "op": "recommend", "workload": "no"}),

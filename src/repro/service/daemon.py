@@ -67,11 +67,6 @@ from repro.exceptions import (
 )
 from repro.resilience import Deadline, ResiliencePolicy
 from repro.service import durability
-from repro.service.coalescer import (
-    CoalescerStatistics,
-    PricingCoalescer,
-    waiter_deadline,
-)
 from repro.service.registry import (
     WorkloadRegistration,
     WorkloadRegistry,
@@ -387,23 +382,6 @@ class AdvisorService:
         Retry/breaker policy for the shared cost stacks.
     cost_kernel:
         Kernel flavour used when a request does not pick one.
-    coalesce:
-        Enable the cross-request pricing coalescer (default on): for
-        every pair-batch-capable kernel stack a
-        :class:`~repro.service.coalescer.PricingCoalescer` slots
-        between the what-if facade and the resilient source, so
-        concurrent requests' pricing work is content-deduplicated and
-        fused into shared backend batches.  Kernels without
-        ``pair_costs`` (the scalar flavour) run uncoalesced either
-        way.  Results are bit-identical to the uncoalesced path.
-    batch_window_ms:
-        Micro-batch window of the coalescer in milliseconds: how long
-        the first enqueued pair waits for concurrent company before
-        the fused batch dispatches.  Skipped entirely when the service
-        is idle, so a serial client never pays it.
-    coalesce_max_pairs:
-        Fused-batch cap: a window closes early once this many pairs
-        are pending.
     whatif_cache_entries:
         Optional LRU bound on each kernel's long-lived what-if cost
         cache (``None`` = unbounded); evictions surface as the
@@ -444,9 +422,6 @@ class AdvisorService:
         cost_source: CostSource | None = None,
         resilience: ResiliencePolicy | None = None,
         cost_kernel: str = "vectorized",
-        coalesce: bool = True,
-        batch_window_ms: float = 2.0,
-        coalesce_max_pairs: int = 32768,
         whatif_cache_entries: int | None = None,
         clock: Callable[[], float] = time.monotonic,
         snapshot_dir: str | Path | None = None,
@@ -476,15 +451,6 @@ class AdvisorService:
             raise ServiceError(
                 f"watchdog_grace_s must be >= 0, got {watchdog_grace_s}"
             )
-        if batch_window_ms < 0:
-            raise ServiceError(
-                f"batch_window_ms must be >= 0, got {batch_window_ms}"
-            )
-        if coalesce_max_pairs < 1:
-            raise ServiceError(
-                "coalesce_max_pairs must be >= 1, got "
-                f"{coalesce_max_pairs}"
-            )
         if whatif_cache_entries is not None and whatif_cache_entries < 1:
             raise ServiceError(
                 "whatif_cache_entries must be >= 1 or None, got "
@@ -499,33 +465,10 @@ class AdvisorService:
         self._clock = clock
         self._drain_timeout_s = drain_timeout_s
         self._watchdog_grace_s = watchdog_grace_s
-        self._coalesce = coalesce
-        self._batch_window_ms = batch_window_ms
-        self._coalesce_max_pairs = coalesce_max_pairs
-        self._coalescers: dict[str, PricingCoalescer] = {}
-
-        def _wrap_facade_source(resilient, kernel: str):
-            # Only pair-batch-capable stacks coalesce: without a fused
-            # dispatch entry point there is nothing to fuse into, and
-            # the scalar flavour's callers expect untouched semantics.
-            if (
-                not self._coalesce
-                or getattr(resilient, "pair_costs", None) is None
-            ):
-                return resilient
-            coalescer = PricingCoalescer(
-                resilient,
-                window_s=batch_window_ms / 1000.0,
-                max_pairs=coalesce_max_pairs,
-            )
-            self._coalescers[kernel] = coalescer
-            return coalescer
-
         self._stacks = KernelStacks(
             schema,
             cost_source=cost_source,
             policy=resilience,
-            facade_source_wrapper=_wrap_facade_source,
             whatif_cache_entries=whatif_cache_entries,
         )
         self._registry = WorkloadRegistry(schema, self._stacks)
@@ -613,44 +556,13 @@ class AdvisorService:
         """What the startup restore found (``None`` without durability)."""
         return self._restore_report
 
-    def coalescer(self, kernel: str) -> PricingCoalescer | None:
-        """The pricing coalescer of one kernel stack.
-
-        ``None`` when coalescing is disabled, the stack has not been
-        built yet, or the kernel cannot batch pairs (scalar flavour).
-        """
-        return self._coalescers.get(kernel)
-
-    def _merged_coalescer_statistics(
-        self,
-    ) -> CoalescerStatistics | None:
-        """Coalescer counters summed across the built kernel stacks
-        (peaks take the max); ``None`` when nothing coalesces."""
-        merged: CoalescerStatistics | None = None
-        for coalescer in self._coalescers.values():
-            statistics = coalescer.statistics.copy()
-            if merged is None:
-                merged = statistics
-                continue
-            merged.callers += statistics.callers
-            merged.enqueued_pairs += statistics.enqueued_pairs
-            merged.deduped_pairs += statistics.deduped_pairs
-            merged.batches += statistics.batches
-            merged.dispatched_pairs += statistics.dispatched_pairs
-            merged.idle_fast_paths += statistics.idle_fast_paths
-            merged.window_waits += statistics.window_waits
-            merged.cap_closes += statistics.cap_closes
-            merged.deadline_detaches += statistics.deadline_detaches
-            merged.waiter_wait_seconds_total += (
-                statistics.waiter_wait_seconds_total
-            )
-            merged.max_batch_pairs = max(
-                merged.max_batch_pairs, statistics.max_batch_pairs
-            )
-            merged.peak_window_pairs = max(
-                merged.peak_window_pairs, statistics.peak_window_pairs
-            )
-        return merged
+    def coalescer(self, kernel: str) -> None:
+        """Always ``None``: the service has no cross-request pricing
+        coalescer; every request prices through its kernel stack's
+        resilient source.  Kept for callers that still ask for one
+        (``perfbench/workloads.py`` treats ``None`` as "no
+        coalescer"); remove it once they stop."""
+        return None
 
     def workloads(self) -> tuple[str, ...]:
         """Names of all registered workloads, sorted."""
@@ -884,27 +796,19 @@ class AdvisorService:
             warm_store = registration.warm_store(kernel)
             warm = len(warm_store) > 0
             before = optimizer.statistics.copy()
-            # The waiter-deadline context lets every pricing call the
-            # run makes consult this request's deadline inside the
-            # coalescer (expired waiters detach from the micro-batch
-            # window instead of sitting it out).
-            with waiter_deadline(record.deadline):
-                result = run_selection(
-                    workload,
-                    budget,
-                    algorithm=request.algorithm,
-                    optimizer=optimizer,
-                    telemetry=telemetry,
-                    candidate_width=request.candidate_width,
-                    deadline=record.deadline,
-                    warm_store=warm_store,
-                )
+            result = run_selection(
+                workload,
+                budget,
+                algorithm=request.algorithm,
+                optimizer=optimizer,
+                telemetry=telemetry,
+                candidate_width=request.candidate_width,
+                deadline=record.deadline,
+                warm_store=warm_store,
+            )
             wall_seconds = max(0.0, self._clock() - started)
             telemetry.record_whatif(optimizer.statistics.since(before))
             telemetry.record_resilience(resilient.statistics)
-            coalescer = self._coalescers.get(kernel)
-            if coalescer is not None:
-                coalescer.statistics.publish(telemetry.metrics)
             kernel_statistics = self._stacks.vectorized_statistics()
             if kernel_statistics is not None:
                 telemetry.record_kernel(kernel_statistics)
@@ -1012,23 +916,19 @@ class AdvisorService:
             # to the points already answered (a tagged partial
             # frontier); with nothing answered yet it propagates and
             # fails the request like any other worker death.
-            with waiter_deadline(record.deadline):
-                sweep_result = sweep_select(
-                    workload,
-                    optimizer,
-                    request.budget_shares,
-                    telemetry=telemetry,
-                    warm_store=warm_store,
-                    deadline=record.deadline,
-                    on_error="partial",
-                    point_callback=on_point,
-                )
+            sweep_result = sweep_select(
+                workload,
+                optimizer,
+                request.budget_shares,
+                telemetry=telemetry,
+                warm_store=warm_store,
+                deadline=record.deadline,
+                on_error="partial",
+                point_callback=on_point,
+            )
             wall_seconds = max(0.0, self._clock() - started)
             telemetry.record_whatif(optimizer.statistics.since(before))
             telemetry.record_resilience(resilient.statistics)
-            coalescer = self._coalescers.get(kernel)
-            if coalescer is not None:
-                coalescer.statistics.publish(telemetry.metrics)
             kernel_statistics = self._stacks.vectorized_statistics()
             if kernel_statistics is not None:
                 telemetry.record_kernel(kernel_statistics)
@@ -1311,9 +1211,6 @@ class AdvisorService:
         registry.gauge("service.pool_abandoned").set(
             self._pool.abandoned_total
         )
-        coalescer = self._merged_coalescer_statistics()
-        if coalescer is not None:
-            coalescer.publish(registry)
         return {
             name: value
             for name, value in registry.snapshot().items()
@@ -1324,8 +1221,8 @@ class AdvisorService:
         """Liveness report for supervisors (the ``health`` protocol op).
 
         JSON-safe: status, admission pressure, worker-pool liveness,
-        watchdog counters, snapshot freshness, per-kernel circuit
-        breaker states, and the coalescer configuration.
+        watchdog counters, snapshot freshness, and per-kernel circuit
+        breaker states.
         """
         with self._lock:
             statistics = self._statistics.copy()
@@ -1375,26 +1272,6 @@ class AdvisorService:
                 "corruptions": statistics.snapshot_corruptions,
             },
             "breakers": breakers,
-            "coalescer": {
-                "enabled": self._coalesce,
-                "window_ms": self._batch_window_ms,
-                "max_pairs": self._coalesce_max_pairs,
-                "kernels": {
-                    kernel: {
-                        "batches": coalescer.statistics.batches,
-                        "dedup_rate": round(
-                            coalescer.statistics.dedup_rate, 6
-                        ),
-                        "pending_pairs": coalescer.pending_pairs(),
-                        "deadline_detaches": (
-                            coalescer.statistics.deadline_detaches
-                        ),
-                    }
-                    for kernel, coalescer in sorted(
-                        self._coalescers.items()
-                    )
-                },
-            },
         }
 
     def ready(self) -> dict:

@@ -37,7 +37,7 @@ Errors never kill the loop: they come back as
 ``error`` is the Python class name (informative, may change);
 ``code`` is the machine-stable tag clients should switch on::
 
-    parse_error        line was not valid JSON
+    parse_error        line was not valid JSON (or nested too deep)
     invalid_request    parsed, but the request is malformed or invalid
     unknown_op         the "op" value is not an operation the daemon speaks
     unknown_workload   referenced workload name is not registered
@@ -160,6 +160,18 @@ def _salvage_id(line: str):
         return json.loads(match.group(1))
     except json.JSONDecodeError:  # pragma: no cover - regex is stricter
         return None
+
+
+def _parse(line: str):
+    """``json.loads``, except that nesting too deep for the parser is
+    a ``JSONDecodeError`` like any other unparseable line (the parser
+    itself raises ``RecursionError``)."""
+    try:
+        return json.loads(line)
+    except RecursionError:
+        raise json.JSONDecodeError(
+            "nesting too deep to parse", line, 0
+        ) from None
 
 
 def _queries(message: dict) -> list:
@@ -344,7 +356,7 @@ def serve_loop(
             emit = _emitter(output_stream, lambda: correlation)
             try:
                 try:
-                    message = json.loads(line)
+                    message = _parse(line)
                     if not isinstance(message, dict):
                         raise ServiceError(
                             "each input line must be a JSON object"

@@ -224,6 +224,18 @@ class TestErrors:
         assert stats["gauges"]["service.admitted"] == 0
         assert stats["gauges"].get("whatif.calls", 0) == 0
 
+    def test_too_deeply_nested_line_is_a_parse_error(self, service):
+        # The JSON parser raises RecursionError, not JSONDecodeError,
+        # on nesting this deep.
+        handled, responses = run_protocol(
+            service, ["[" * 100_000, {"id": 2, "op": "stats"}]
+        )
+        assert handled == 2
+        deep, stats = responses
+        assert deep["ok"] is False
+        assert deep["code"] == "parse_error"
+        assert stats["ok"] and stats["id"] == 2
+
     def test_non_object_line_is_an_error(self, service):
         _, responses = run_protocol(
             service, ["[1,2,3]", {"op": "shutdown"}]

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.advisor import IndexAdvisor
+from repro.cost.kernel import VectorizedCostSource
 from repro.cost.model import CostModel
 from repro.cost.whatif import AnalyticalCostSource
 from repro.exceptions import (
@@ -18,10 +20,14 @@ from repro.exceptions import (
     ServiceOverloadedError,
     UnknownWorkloadError,
 )
+from repro.resilience import FaultInjectingCostSource
 from repro.service import (
     AdvisorService,
     RecommendRequest,
 )
+from repro.workload.query import Workload
+
+_JOIN_S = 30.0
 
 
 @pytest.fixture
@@ -51,6 +57,27 @@ class _GateSource:
     def multi_index_cost(self, query, indexes):
         self._gate.wait()
         return self._inner.multi_index_cost(query, indexes)
+
+
+class _HeldKernel(VectorizedCostSource):
+    """The vectorized kernel whose ``query_costs`` calls (the column
+    entry point the facade prices Extend through) wait on ``gate``
+    once the first ``release_after`` calls have passed."""
+
+    def __init__(self, schema, gate: threading.Event, release_after):
+        super().__init__(schema)
+        self._gate = gate
+        self._release_after = release_after
+        self._lock = threading.Lock()
+        self.calls = 0
+
+    def query_costs(self, queries, index):
+        with self._lock:
+            self.calls += 1
+            held = self.calls > self._release_after
+        if held:
+            assert self._gate.wait(timeout=_JOIN_S)
+        return super().query_costs(queries, index)
 
 
 class TestConcurrencyIdentity:
@@ -99,6 +126,54 @@ class TestConcurrencyIdentity:
                 == serial[spec]
             )
             assert response.status == "completed"
+
+    def test_concurrent_service_matches_serial_advisor(
+        self, small_workload
+    ):
+        """Concurrent cold requests on distinct registrations select
+        the serial advisor's exact configuration and cost, even though
+        the backend loses the first pricing batch: one resilient retry
+        heals it for every request, without the fallback."""
+        serial = IndexAdvisor(small_workload.schema).recommend(
+            small_workload, budget_share=0.3, algorithm="extend"
+        ).result
+        flaky = FaultInjectingCostSource(
+            VectorizedCostSource(small_workload.schema), script=["fail"]
+        )
+        with AdvisorService(
+            small_workload.schema,
+            max_concurrency=4,
+            queue_depth=8,
+            cost_source=flaky,
+        ) as service:
+            # Distinct registrations so every request prices cold
+            # instead of being answered from a warm store.
+            for position in range(4):
+                service.register_workload(
+                    f"w{position}", small_workload
+                )
+            tickets = [
+                service.submit(
+                    RecommendRequest(
+                        workload=f"w{position}", budget_share=0.3
+                    )
+                )
+                for position in range(4)
+            ]
+            responses = [
+                ticket.result(timeout_s=_JOIN_S) for ticket in tickets
+            ]
+            resilient, _ = service.kernel_stacks.stack("vectorized")
+        assert flaky.statistics.injected_failures == 1
+        assert resilient.statistics.retries == 1
+        assert resilient.statistics.fallback_calls == 0
+        for response in responses:
+            assert response.status == "completed"
+            assert (
+                response.result.configuration_signature()
+                == serial.configuration_signature()
+            )
+            assert response.result.total_cost == serial.total_cost
 
     def test_repeated_warm_request_is_identical(self, service):
         cold = service.recommend(
@@ -164,6 +239,103 @@ class TestWarmResidency:
         )
         assert not response.warm
         assert response.workload_version == 2
+
+
+class TestRegistryMutation:
+    def test_registry_mutation_with_batches_in_flight(
+        self, small_workload
+    ):
+        """register/update while pricing batches are held in the
+        backend: in-flight requests keep their own workload version's
+        results and scoped invalidation does not bleed across
+        workloads."""
+        schema = small_workload.schema
+        trimmed = Workload(schema, list(small_workload)[:5])
+        full_serial = IndexAdvisor(schema).recommend(
+            small_workload, budget_share=0.3, algorithm="extend"
+        ).result
+        trimmed_serial = IndexAdvisor(schema).recommend(
+            trimmed, budget_share=0.3, algorithm="extend"
+        ).result
+
+        gate = threading.Event()
+        holding = _HeldKernel(schema, gate, release_after=2)
+        with AdvisorService(
+            schema, max_concurrency=4, queue_depth=8, cost_source=holding
+        ) as service:
+            service.register_workload("a1", small_workload)
+            service.register_workload("a2", small_workload)
+            tickets = [
+                service.submit(
+                    RecommendRequest(workload=name, budget_share=0.3)
+                )
+                for name in ("a1", "a2")
+            ]
+            deadline = time.monotonic() + _JOIN_S
+            while holding.calls <= 2 and time.monotonic() < deadline:
+                time.sleep(0.002)
+            assert holding.calls > 2, (
+                "pricing batches never reached the held backend"
+            )
+            # A batch is now held in the backend.  Mutate the registry
+            # around it.
+            service.register_workload("b", trimmed)
+            service.update_workload("a2", trimmed)
+            gate.set()
+            responses = {
+                name: ticket.result(timeout_s=_JOIN_S)
+                for name, ticket in zip(("a1", "a2"), tickets)
+            }
+        # a1 ran against the original registration and must match its
+        # serial result.  The a2 update landed after submission, so
+        # a2 must match exactly one of the two serial truths: never a
+        # blended, half-invalidated pricing.
+        assert responses["a1"].status == "completed"
+        assert (
+            responses["a1"].result.configuration_signature()
+            == full_serial.configuration_signature()
+        )
+        assert responses["a1"].result.total_cost == full_serial.total_cost
+        assert responses["a2"].status == "completed"
+        assert responses["a2"].result.configuration_signature() in (
+            full_serial.configuration_signature(),
+            trimmed_serial.configuration_signature(),
+        )
+
+    def test_post_mutation_requests_price_the_new_version(
+        self, small_workload
+    ):
+        """After update/evict, fresh recommends reflect the mutated
+        registry: stale pricing never leaks forward."""
+        schema = small_workload.schema
+        trimmed = Workload(schema, list(small_workload)[:5])
+        trimmed_serial = IndexAdvisor(schema).recommend(
+            trimmed, budget_share=0.3, algorithm="extend"
+        ).result
+        with AdvisorService(
+            schema, max_concurrency=2, queue_depth=4
+        ) as service:
+            service.register_workload("w", small_workload)
+            first = service.recommend(
+                RecommendRequest(workload="w", budget_share=0.3)
+            )
+            assert first.status == "completed"
+            service.update_workload("w", trimmed)
+            second = service.recommend(
+                RecommendRequest(workload="w", budget_share=0.3)
+            )
+            assert second.status == "completed"
+            assert (
+                second.result.configuration_signature()
+                == trimmed_serial.configuration_signature()
+            )
+            assert second.result.total_cost == trimmed_serial.total_cost
+            service.evict_workload("w")
+            service.register_workload("w", trimmed)
+            third = service.recommend(
+                RecommendRequest(workload="w", budget_share=0.3)
+            )
+            assert third.result.total_cost == trimmed_serial.total_cost
 
 
 class TestDeadlines:
