@@ -5,13 +5,12 @@ templates per table, seed 1909) through an :class:`AdvisorService` and
 compares repeated (warm) requests against the first, cold one: the same
 service request on a fresh service, so both sides do the same work (a
 selection, no report) and differ only in residency.  Warm requests run
-against resident state — the shared what-if cache, the compiled
-workload packs, and the warm benefit tables — and must be at least 3x
-faster while selecting the configuration a one-shot
-``IndexAdvisor.recommend`` selects, bit for bit.  The warm path's
-backend what-if calls are fully deterministic (every priced column
-comes from the warm store, every remaining lookup from the shared
-cache), so the committed baseline pins them exactly; wall-clock speedup
+against resident state — the shared what-if cache and the compiled
+workload packs — and must be at least 3x faster while selecting the
+configuration a one-shot ``IndexAdvisor.recommend`` selects, bit for
+bit.  The warm path's backend what-if calls are fully deterministic
+(every lookup is a hit in the shared cache), so the committed
+baseline pins them exactly; wall-clock speedup
 is gated against the absolute 3x floor rather than a machine-dependent
 timing baseline.
 
@@ -93,9 +92,6 @@ def measure(workload=None) -> dict:
         "warm_mean_seconds": round(stats.mean(warm_seconds), 4),
         "speedup": round(first.wall_seconds / max(p50, 1e-9), 2),
         "warm_whatif_calls": int(warm_calls),
-        "warm_table_hit_rate": warm_responses[-1].gauges[
-            "evaluation.warm_hit_rate"
-        ],
     }
 
 
@@ -113,7 +109,6 @@ def test_warm_request_at_least_3x_faster(benchmark):
     than the same request on a fresh service."""
     results = benchmark.pedantic(measure, rounds=1, iterations=1)
     assert results["speedup"] >= SPEEDUP_FLOOR
-    assert results["warm_table_hit_rate"] == 1.0
 
 
 def test_warm_path_needs_no_backend_calls(benchmark):

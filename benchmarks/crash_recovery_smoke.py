@@ -4,14 +4,13 @@ Drives the real ``python -m repro serve`` subprocess over its
 JSON-lines stdio protocol:
 
 1. boot a daemon with ``--snapshot-dir``, run one recommendation
-   (populates the warm benefit store and the what-if cache), take an
-   explicit snapshot;
+   (populates the what-if cache), take an explicit snapshot;
 2. fire another recommendation and immediately ``SIGKILL`` the daemon
    mid-request — no drain, no atexit, nothing graceful;
 3. restart the daemon on the same snapshot directory and repeat the
    recommendation.
 
-The restarted request must be served warm: nonzero warm-store hits and
+The restarted request must be served warm: the ``warm`` flag set and
 zero backend what-if calls, straight from the restored snapshot.  Exits
 0 on success, 1 with a diagnosis on stderr otherwise.  This file is
 deliberately not named ``bench_*``/``test_*`` — it is a standalone
@@ -128,15 +127,9 @@ def main() -> int:
             if not warm.get("ok"):
                 _fail(f"post-restart recommendation failed: {warm}")
             gauges = warm.get("gauges", {})
-            warm_hits = gauges.get("evaluation.warm_hits", 0)
             backend_calls = gauges.get("whatif.calls")
             if not warm.get("warm"):
                 _fail(f"post-restart response not warm: {warm}")
-            if not warm_hits or warm_hits <= 0:
-                _fail(
-                    "post-restart request had no warm-store hits "
-                    f"(gauges: {gauges})"
-                )
             if backend_calls != 0:
                 _fail(
                     "post-restart request hit the cost backend "
@@ -162,10 +155,7 @@ def main() -> int:
                 "restarted daemon never reported a snapshot restore; "
                 f"stderr was:\n{log}"
             )
-    print(
-        "crash_recovery_smoke: OK "
-        f"(warm_hits={int(warm_hits)}, backend_calls=0)"
-    )
+    print("crash_recovery_smoke: OK (warm, backend_calls=0)")
     return 0
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.cophy.solver import CoPhyAlgorithm
-from repro.core.evaluation import EvaluationConfig, WarmBenefitStore
+from repro.core.evaluation import EvaluationConfig
 from repro.core.extend import ExtendAlgorithm
 from repro.core.localsearch import swap_local_search
 from repro.core.frontier import Frontier
@@ -241,13 +241,12 @@ def run_selection(
     deadline: Deadline | None = None,
     solver_time_limit: float = 120.0,
     evaluation: EvaluationConfig | None = None,
-    warm_store: WarmBenefitStore | None = None,
 ) -> SelectionResult:
     """Dispatch one selection run to the named algorithm.
 
     The shared engine behind :meth:`IndexAdvisor.recommend` and the
     service's request execution: Extend (optionally with the swap
-    refinement and a cross-run ``warm_store``), CoPhy with the
+    refinement), CoPhy with the
     degrade-to-Extend fallback, and the H1–H5 heuristics, all under one
     ``deadline`` against one what-if facade.
     """
@@ -263,7 +262,6 @@ def run_selection(
             optimizer,
             telemetry=telemetry,
             evaluation=evaluation,
-            warm_store=warm_store,
         ).select(workload, budget, deadline=deadline)
         if algorithm == "extend+swap":
             candidates = syntactically_relevant_candidates(
@@ -302,7 +300,6 @@ def run_selection(
                 optimizer,
                 telemetry=telemetry,
                 evaluation=evaluation,
-                warm_store=warm_store,
             ).select(workload, budget, deadline=deadline)
             return dataclasses.replace(
                 fallback, status=STATUS_DEGRADED
@@ -651,16 +648,14 @@ class IndexAdvisor:
         budget_shares: Sequence[float],
         deadline_s: float | None = None,
         cost_kernel: str | None = None,
-        warm_store: WarmBenefitStore | None = None,
     ) -> SweepRecommendation:
-        """Answer every budget share with one shared pricing pass.
+        """Answer every budget share with one Extend run each.
 
         The multi-budget companion of :meth:`recommend`: instead of one
-        budget, take the whole grid and run Extend through the shared
-        sweep engine (:func:`repro.core.sweep.sweep_select`) — shares
-        execute descending over one warm cost-column store, so the full
-        frontier costs roughly one recommendation's worth of backend
-        calls while every point stays bit-identical to a standalone
+        budget, take the whole grid and run Extend once per share
+        (:func:`repro.core.sweep.sweep_select`) over the advisor's
+        what-if facade, so a pair priced for one point is a cache hit
+        for the others.  Every point is bit-identical to a standalone
         :meth:`recommend` with ``algorithm="extend"`` at that budget
         (the swap local search of the ``extend+swap`` default is a
         separate post-pass and is not swept).
@@ -693,7 +688,6 @@ class IndexAdvisor:
                 optimizer,
                 shares,
                 telemetry=telemetry,
-                warm_store=warm_store,
                 deadline=Deadline(deadline_s),
             )
         if telemetry.enabled:

@@ -40,7 +40,7 @@ Two subcommands:
   ``recommend``/``stats``/``health``/``ready``/``snapshot``/
   ``shutdown``).  Status chatter goes to stderr — stdout carries only
   protocol lines.  With ``--snapshot-dir`` the daemon restores its
-  registrations and warm benefit tables from the last durable snapshot
+  registrations and what-if cache entries from the last durable snapshot
   at startup and persists them on the given interval and on shutdown;
   SIGTERM triggers a graceful drain (finish or deadline-degrade
   in-flight requests, final snapshot) and exit 0.
@@ -290,11 +290,11 @@ def _advise_sweep(
     kernel,
     deadline: Deadline,
 ) -> int:
-    """The ``advise --budget-sweep`` path: one shared-engine frontier."""
+    """The ``advise --budget-sweep`` path: one Extend run per share."""
     if arguments.algorithm != "extend":
         raise ExperimentError(
-            "--budget-sweep answers the frontier with the shared Extend "
-            f"engine; it does not combine with --algorithm "
+            "--budget-sweep answers the frontier with one Extend run "
+            f"per share; it does not combine with --algorithm "
             f"{arguments.algorithm!r}"
         )
     shares = arguments.budget_sweep
@@ -305,7 +305,7 @@ def _advise_sweep(
         f"Workload: {workload.query_count} queries over "
         f"{workload.schema.attribute_count} attributes; "
         f"budget sweep w={shares[0]:g}..{shares[-1]:g} "
-        f"({len(shares)} points, shared engine)"
+        f"({len(shares)} points)"
     )
     sweep = sweep_select(
         workload,
@@ -331,9 +331,7 @@ def _advise_sweep(
     statistics = sweep.statistics
     print(
         f"\nBackend what-if calls: {statistics.backend_calls:,} for "
-        f"{statistics.completed_points} points "
-        f"(warm reuse {statistics.reuse_rate:.1%}, "
-        f"reprice {statistics.reprice_count:,})"
+        f"{statistics.completed_points} points"
     )
     print(f"Cost without indexes: {baseline:.6g}")
     if sweep.partial:
@@ -490,7 +488,7 @@ def _serve(arguments: argparse.Namespace) -> int:
         print(
             f"repro serve: restored snapshot #{report.sequence} "
             f"({report.workloads} workload(s), "
-            f"{report.warm_columns} warm column(s))",
+            f"{report.whatif_entries} what-if entries)",
             file=sys.stderr,
         )
     elif report is not None and report.corrupt:
@@ -500,12 +498,12 @@ def _serve(arguments: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     if arguments.workload in service.workloads():
-        # The snapshot already carries this registration (with its warm
-        # benefit tables); re-registering would raise and resetting it
-        # would throw the warmth away.
+        # The snapshot already carries this registration (and its
+        # what-if entries); re-registering would raise and updating it
+        # would count as a new, unpriced version.
         print(
             f"repro serve: workload {arguments.workload!r} already "
-            "restored from snapshot; keeping the warm registration",
+            "restored from snapshot; keeping the restored registration",
             file=sys.stderr,
         )
     else:
@@ -624,8 +622,8 @@ def main(argv: list[str] | None = None) -> int:
         metavar="LOW:HIGH:STEPS",
         help="answer a whole cost/memory frontier instead of one "
              "budget: STEPS evenly spaced shares in [LOW, HIGH] "
-             "(e.g. 0.1:1.0:10), priced once through the shared sweep "
-             "engine; overrides --budget",
+             "(e.g. 0.1:1.0:10), one Extend run each over one what-if "
+             "cache; overrides --budget",
     )
     advise.add_argument(
         "--candidates", type=int, default=0,
@@ -707,7 +705,7 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument(
         "--snapshot-dir", metavar="DIR", default=None,
         help="directory for durable snapshots of registrations and "
-        "warm benefit tables; restored at startup when present "
+        "their what-if cache entries; restored at startup when present "
         "(default: durability off)",
     )
     serve.add_argument(

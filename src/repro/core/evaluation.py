@@ -41,7 +41,7 @@ available for differential testing (see
 
 from __future__ import annotations
 
-import threading
+import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -55,8 +55,6 @@ __all__ = [
     "BenefitTable",
     "EvaluationConfig",
     "EvaluationStatistics",
-    "WarmBenefitStore",
-    "WarmSession",
     "price_columns",
 ]
 
@@ -94,8 +92,6 @@ class EvaluationStatistics:
     invalidations: int = 0
     priced_candidates: int = 0
     pruned_candidates: int = 0
-    warm_hits: int = 0
-    warm_misses: int = 0
 
     @property
     def reuse_rate(self) -> float:
@@ -103,24 +99,13 @@ class EvaluationStatistics:
         total = self.evaluations + self.reused
         return self.reused / total if total else 0.0
 
-    @property
-    def warm_hit_rate(self) -> float:
-        """Share of move pricings served from a cross-run warm store.
-
-        0 when the run had no :class:`WarmBenefitStore` (the one-shot
-        path) or every priced move was new to the store.
-        """
-        total = self.warm_hits + self.warm_misses
-        return self.warm_hits / total if total else 0.0
-
     def publish(self, registry, prefix: str = "evaluation") -> None:
         """Bridge the counters into a telemetry
         :class:`~repro.telemetry.metrics.MetricsRegistry` as gauges
         (``evaluation.rounds``, ``evaluation.evaluations``,
         ``evaluation.reused``, ``evaluation.reuse_rate``,
         ``evaluation.invalidations``, ``evaluation.priced_candidates``,
-        ``evaluation.pruned_candidates``, ``evaluation.warm_hits``,
-        ``evaluation.warm_misses``, ``evaluation.warm_hit_rate``).
+        ``evaluation.pruned_candidates``).
         """
         registry.gauge(f"{prefix}.rounds").set(self.rounds)
         registry.gauge(f"{prefix}.evaluations").set(self.evaluations)
@@ -133,193 +118,6 @@ class EvaluationStatistics:
         registry.gauge(f"{prefix}.pruned_candidates").set(
             self.pruned_candidates
         )
-        registry.gauge(f"{prefix}.warm_hits").set(self.warm_hits)
-        registry.gauge(f"{prefix}.warm_misses").set(self.warm_misses)
-        registry.gauge(f"{prefix}.warm_hit_rate").set(
-            self.warm_hit_rate
-        )
-
-
-class WarmBenefitStore:
-    """Cross-run cache of priced candidate cost vectors.
-
-    The per-run :class:`BenefitTable` dies with its construction state;
-    a resident advisor (``repro.service``) serving the *same* workload
-    repeatedly re-prices the same candidate moves on every request.
-    This store keeps the priced ``(new_index -> per-affected-query cost
-    vector)`` columns across runs: the affected positions of any
-    constructive move (new single, extension, pair seed, branch) are a
-    pure function of the created index's attribute tuple over a fixed
-    workload, so the attribute tuple is a sufficient key.
-
-    Stored vectors are exactly what the what-if facade returned —
-    backends are deterministic, so a warm run selects bit-identical
-    steps — and are frozen (non-writeable) so no later run can corrupt
-    them.  The store is thread-safe; one instance must only ever be
-    used with one workload version (the service allocates a fresh store
-    per registration update).
-    """
-
-    def __init__(self) -> None:
-        self._columns: dict[
-            tuple[int, ...], tuple[np.ndarray, np.ndarray]
-        ] = {}
-        # Memos of pure per-workload derivations (affected-position
-        # intersections, index memory footprints).  Like the cost
-        # columns they are only valid for one workload version, which
-        # is exactly this store's lifetime.  They do not count toward
-        # warm hit/miss statistics — those track priced columns only.
-        self._positions: dict[frozenset[int], np.ndarray] = {}
-        self._memory: dict[tuple[int, ...], int] = {}
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._columns)
-
-    def get(
-        self, attributes: tuple[int, ...], positions: np.ndarray
-    ) -> np.ndarray | None:
-        """The stored cost column for an index, or ``None``.
-
-        ``positions`` guards against misuse across workload versions:
-        a stored column whose affected-query positions differ from the
-        caller's is stale and treated as absent.
-        """
-        with self._lock:
-            entry = self._columns.get(attributes)
-        if entry is None:
-            return None
-        stored_positions, costs = entry
-        if not np.array_equal(stored_positions, positions):
-            return None
-        return costs
-
-    def put(
-        self,
-        attributes: tuple[int, ...],
-        positions: np.ndarray,
-        costs: np.ndarray,
-    ) -> None:
-        """Store a priced cost column (first write wins)."""
-        frozen = np.array(costs, dtype=np.float64)
-        frozen.setflags(write=False)
-        kept_positions = np.array(positions, dtype=np.intp)
-        kept_positions.setflags(write=False)
-        with self._lock:
-            self._columns.setdefault(
-                attributes, (kept_positions, frozen)
-            )
-
-    def positions_for(
-        self, required: frozenset[int]
-    ) -> np.ndarray | None:
-        """Memoized affected-query positions for an attribute set."""
-        with self._lock:
-            return self._positions.get(required)
-
-    def remember_positions(
-        self, required: frozenset[int], positions: np.ndarray
-    ) -> None:
-        frozen = np.array(positions, dtype=np.intp)
-        frozen.setflags(write=False)
-        with self._lock:
-            self._positions.setdefault(required, frozen)
-
-    def memory_for(self, attributes: tuple[int, ...]) -> int | None:
-        """Memoized memory footprint of an index's attribute tuple."""
-        with self._lock:
-            return self._memory.get(attributes)
-
-    def remember_memory(
-        self, attributes: tuple[int, ...], memory: int
-    ) -> None:
-        with self._lock:
-            self._memory.setdefault(attributes, memory)
-
-    def entries(
-        self,
-    ) -> tuple[tuple[tuple[int, ...], np.ndarray, np.ndarray], ...]:
-        """Stored ``(attributes, positions, costs)`` triples, sorted.
-
-        Deterministic order so durability snapshots of the same store
-        are byte-identical.  The arrays are the frozen (non-writeable)
-        store-internal ones — callers must not mutate them.
-        """
-        with self._lock:
-            return tuple(
-                (attributes, positions, costs)
-                for attributes, (positions, costs) in sorted(
-                    self._columns.items()
-                )
-            )
-
-    def clear(self) -> None:
-        """Drop every stored column (workload changed)."""
-        with self._lock:
-            self._columns.clear()
-            self._positions.clear()
-            self._memory.clear()
-
-    def session(self) -> WarmSession:
-        """A per-run view with isolated hit/miss counters."""
-        return WarmSession(self)
-
-
-class WarmSession:
-    """One run's view of a :class:`WarmBenefitStore`.
-
-    Counts this run's hits and misses separately from other concurrent
-    runs sharing the store, so per-request ``evaluation.warm_*`` gauges
-    stay exact under a multi-request service.
-    """
-
-    def __init__(self, store: WarmBenefitStore) -> None:
-        self._store = store
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def fetch(
-        self, attributes: tuple[int, ...], positions: np.ndarray
-    ) -> np.ndarray | None:
-        """Stored cost column, counting the hit or miss."""
-        costs = self._store.get(attributes, positions)
-        with self._lock:
-            if costs is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-        return costs
-
-    def store(
-        self,
-        attributes: tuple[int, ...],
-        positions: np.ndarray,
-        costs: np.ndarray,
-    ) -> None:
-        """Write a freshly priced column back to the shared store."""
-        self._store.put(attributes, positions, costs)
-
-    # Pure-derivation memos (uncounted: the warm hit/miss gauges track
-    # priced cost columns, not bookkeeping reuse).
-
-    def positions_for(
-        self, required: frozenset[int]
-    ) -> np.ndarray | None:
-        return self._store.positions_for(required)
-
-    def remember_positions(
-        self, required: frozenset[int], positions: np.ndarray
-    ) -> None:
-        self._store.remember_positions(required, positions)
-
-    def memory_for(self, attributes: tuple[int, ...]) -> int | None:
-        return self._store.memory_for(attributes)
-
-    def remember_memory(
-        self, attributes: tuple[int, ...], memory: int
-    ) -> None:
-        self._store.remember_memory(attributes, memory)
 
 
 class CandidateMove:
@@ -465,6 +263,9 @@ class BenefitTable:
         self._dirty: dict[_Entry, None] = {}
         self._unpriced: dict[_Entry, None] = {}
         self._priced: dict[_Entry, None] = {}
+        # The last :meth:`best` call's ranking, best first, as
+        # ``(ratio, benefit, move)`` (see :meth:`priced_rivals`).
+        self._ranking: list[tuple[float, float, CandidateMove]] = []
         self.statistics = statistics or EvaluationStatistics()
 
     # ------------------------------------------------------------------
@@ -575,47 +376,54 @@ class BenefitTable:
         # candidates until every remaining bound falls strictly below
         # the ``needed``-th best exactly-priced ratio — from then on no
         # unpriced move can appear among (or tie into) the winners.
-        contenders: list[_Entry] | None = None
-        while True:
-            threshold = self._priced_threshold(
-                needed, max_memory_delta
-            )
-            if contenders is None:
-                contenders = [
-                    entry
-                    for entry in self._unpriced
-                    if entry.value > 0.0
-                    and (
-                        max_memory_delta is None
-                        or entry.move.memory_delta <= max_memory_delta
-                    )
-                    and entry.value / entry.move.memory_delta
-                    >= threshold
-                ]
-                contenders.sort(
-                    key=lambda entry: -(
-                        entry.value / entry.move.memory_delta
-                    )
-                )
-            else:
-                # Pricing only adds priced entries, so the threshold is
-                # monotonically non-decreasing within one call: the
-                # survivors of the previous (already sorted) contender
-                # list are exactly the rescan result — no second pool
-                # scan, no re-sort.
-                contenders = [
-                    entry
-                    for entry in contenders
-                    if entry.value / entry.move.memory_delta
-                    >= threshold
-                ]
-            if not contenders:
-                break
+        # ``top`` is a min-heap of the ``needed`` best qualifying priced
+        # ratios, so its root is that threshold.  Pricing only adds
+        # priced entries, so the threshold is monotonically
+        # non-decreasing within one call: each priced batch is pushed
+        # into the heap instead of rescanning the pool, and since the
+        # contenders are sorted by ratio, the ones still at or above
+        # the threshold are always a prefix of those not yet priced.
+        limit = float("inf") if max_memory_delta is None else max_memory_delta
+        top = heapq.nlargest(
+            needed,
+            (
+                entry.value / entry.move.memory_delta
+                for entry in self._priced
+                if entry.value > 0.0 and entry.move.memory_delta <= limit
+            ),
+        )
+        heapq.heapify(top)
+        threshold = top[0] if len(top) == needed else float("-inf")
+        contenders = [
+            entry
+            for entry in self._unpriced
+            if entry.value > 0.0
+            and entry.move.memory_delta <= limit
+            and entry.value / entry.move.memory_delta >= threshold
+        ]
+        contenders.sort(
+            key=lambda entry: -(entry.value / entry.move.memory_delta)
+        )
+        for start in range(0, len(contenders), needed):
             # Price the ``needed`` best contenders — the classic
             # lazy-greedy minimum.
-            batch = contenders[:needed]
+            batch = [
+                entry
+                for entry in contenders[start : start + needed]
+                if entry.value / entry.move.memory_delta >= threshold
+            ]
+            if not batch:
+                break
             self._price(batch, current)
-            contenders = contenders[len(batch):]
+            for entry in batch:
+                if entry.value > 0.0 and entry.move.memory_delta <= limit:
+                    ratio = entry.value / entry.move.memory_delta
+                    if len(top) < needed:
+                        heapq.heappush(top, ratio)
+                    elif ratio > top[0]:
+                        heapq.heapreplace(top, ratio)
+            if len(top) == needed:
+                threshold = top[0]
 
         return self._pick(current, runner_up_count, max_memory_delta)
 
@@ -665,32 +473,6 @@ class BenefitTable:
             entry.dirty = False
         self._dirty.clear()
 
-    def _priced_threshold(
-        self, needed: int, max_memory_delta: float | None
-    ) -> float:
-        """Ratio of the ``needed``-th best qualifying priced entry.
-
-        Unpriced moves whose bound stays strictly below this can never
-        enter the winner set; with fewer than ``needed`` qualifying
-        priced entries everything optimistic must be priced
-        (``-inf``).
-        """
-        ratios: list[float] = []
-        for entry in self._priced:
-            move = entry.move
-            if entry.value <= 0.0:
-                continue
-            if (
-                max_memory_delta is not None
-                and move.memory_delta > max_memory_delta
-            ):
-                continue
-            ratios.append(entry.value / move.memory_delta)
-        if len(ratios) < needed:
-            return float("-inf")
-        ratios.sort(reverse=True)
-        return ratios[needed - 1]
-
     def _price(
         self, batch: Sequence[_Entry], current: np.ndarray
     ) -> None:
@@ -720,22 +502,41 @@ class BenefitTable:
         ]
         return self._rank(scored, runner_up_count)
 
-    @staticmethod
     def _rank(
+        self,
         scored: list[tuple[float, float, CandidateMove]],
         runner_up_count: int,
     ):
-        if not scored:
-            return None, []
         scored.sort(
             key=lambda entry: (-entry[0], -entry[1], entry[2].sort_key())
         )
+        self._ranking = scored
+        if not scored:
+            return None, []
         best_ratio, best_benefit, best = scored[0]
         runners_up = [
             (entry[2], entry[1], entry[0])
             for entry in scored[1 : 1 + runner_up_count]
         ]
         return (best, best_benefit), runners_up
+
+    def priced_rivals(
+        self, count: int
+    ) -> list[tuple[CandidateMove, float, float]]:
+        """The last winner's ``count`` best rivals, without pricing.
+
+        Ranked like :meth:`best`'s runners-up, but drawn only from the
+        moves that call had already priced (every move in naive mode):
+        the first ``runner_up_count`` of them are exactly the
+        runners-up it returned, any further ones the best of the moves
+        the lazy loop happened to price.  Extend logs these as its
+        rejected step events, so turning telemetry on never prices a
+        move the selection itself does not need.
+        """
+        return [
+            (move, benefit, ratio)
+            for ratio, benefit, move in self._ranking[1 : 1 + count]
+        ]
 
     def pending_candidates(self) -> int:
         """Moves still unpriced (each saved its backend pricing calls)."""

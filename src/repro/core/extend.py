@@ -39,7 +39,6 @@ Optional extensions of Remark 1 are available as constructor flags; see
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass
 
@@ -50,8 +49,6 @@ from repro.core.evaluation import (
     BenefitTable,
     CandidateMove,
     EvaluationConfig,
-    EvaluationStatistics,
-    WarmBenefitStore,
 )
 from repro.core.steps import (
     STATUS_COMPLETED,
@@ -121,7 +118,9 @@ class ExtendAlgorithm:
         Observability session (see :mod:`repro.telemetry`).  When
         enabled, every run traces one ``extend.step`` span per selection
         step and emits chosen/rejected :class:`StepEvent` records plus
-        the ``evaluation.*`` engine gauges; the default
+        the ``evaluation.*`` engine gauges; the rejected events are the
+        best rivals among the moves the step already priced, so tracing
+        never adds a what-if call.  The default
         :data:`~repro.telemetry.NULL_TELEMETRY` reduces all
         instrumentation to no-ops.
     evaluation:
@@ -131,14 +130,6 @@ class ExtendAlgorithm:
         differential-testing oracle).  The default is the incremental
         engine, which selects identical steps with strictly fewer
         what-if calls.
-    warm_store:
-        Optional :class:`~repro.core.evaluation.WarmBenefitStore`
-        shared across runs over the *same* workload: priced candidate
-        cost columns are served from (and written back to) the store,
-        so a repeated selection re-prices nothing.  Stored columns are
-        exactly what pricing would return, so warm runs select
-        bit-identical steps; hits/misses surface as the
-        ``evaluation.warm_*`` gauges.
     skip_oversized:
         When ``True`` (default), a step that would overshoot the budget
         is skipped and smaller fitting steps are still considered —
@@ -165,7 +156,6 @@ class ExtendAlgorithm:
         telemetry: Telemetry = NULL_TELEMETRY,
         skip_oversized: bool = True,
         evaluation: EvaluationConfig | None = None,
-        warm_store: WarmBenefitStore | None = None,
     ) -> None:
         if max_steps is not None and max_steps < 1:
             raise BudgetError(f"max_steps must be >= 1, got {max_steps}")
@@ -194,29 +184,10 @@ class ExtendAlgorithm:
         self._telemetry = telemetry
         self._skip_oversized = skip_oversized
         self._evaluation = evaluation or EvaluationConfig()
-        self._warm_store = warm_store
-        self.last_evaluation_statistics: EvaluationStatistics | None = None
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-
-    def with_warm_store(
-        self, warm_store: WarmBenefitStore | None
-    ) -> ExtendAlgorithm:
-        """A copy of this algorithm bound to ``warm_store``.
-
-        The warm-start entry point of the multi-budget sweep engine
-        (:mod:`repro.core.sweep`): ablation factories keep configuring
-        the algorithm however they like, and the engine re-binds the
-        product to its shared store without knowing the constructor
-        arguments.  The copy shares no mutable selection state — every
-        ``select`` call builds its construction state from scratch.
-        """
-        clone = copy.copy(self)
-        clone._warm_store = warm_store
-        clone.last_evaluation_statistics = None
-        return clone
 
     def select(
         self,
@@ -259,17 +230,10 @@ class ExtendAlgorithm:
                     n_best_singles=self._n_best_singles,
                     pair_seeds=self._pair_seeds,
                     evaluation=self._evaluation,
-                    warm_store=self._warm_store,
                 )
 
             steps: list[ConstructionStep] = []
             missed: list[tuple[tuple[int, ...], int]] = []
-            # With telemetry on, ask for a few extra runners-up so the
-            # best rejected candidates appear in the step-event log even
-            # when the missed-opportunity mechanism is off.
-            runner_request = self._missed_budget
-            if telemetry.enabled:
-                runner_request = max(runner_request, _REJECTED_LOG_COUNT)
 
             while self._max_steps is None or len(steps) < self._max_steps:
                 if deadline.expired:
@@ -285,13 +249,15 @@ class ExtendAlgorithm:
                     remaining = budget - state.memory
                     if self._skip_oversized:
                         best, runners_up = state.best_move(
-                            runner_request, max_memory_delta=remaining
+                            self._missed_budget, max_memory_delta=remaining
                         )
                         if best is None:
                             step_span.annotate("outcome", "exhausted")
                             break
                     else:
-                        best, runners_up = state.best_move(runner_request)
+                        best, runners_up = state.best_move(
+                            self._missed_budget
+                        )
                         if best is None:
                             step_span.annotate("outcome", "exhausted")
                             break
@@ -309,7 +275,7 @@ class ExtendAlgorithm:
                     step_span.annotate(
                         "cache_hits", statistics.cache_hits - step_hits
                     )
-                for runner, _, _ in runners_up[: self._missed_budget]:
+                for runner, _, _ in runners_up:
                     if runner.kind is StepKind.EXTEND and runner.old_index:
                         missed.append(
                             (
@@ -321,7 +287,7 @@ class ExtendAlgorithm:
                     self._emit_step_events(
                         telemetry,
                         step,
-                        runners_up,
+                        state.priced_rivals(_REJECTED_LOG_COUNT),
                         whatif_calls=statistics.calls - step_calls,
                         cache_hits=statistics.cache_hits - step_hits,
                         candidates=state.last_candidates_considered,
@@ -336,7 +302,6 @@ class ExtendAlgorithm:
                             )
 
             state.close()
-            self.last_evaluation_statistics = state.evaluation_statistics
             runtime = time.perf_counter() - started
             configuration = state.configuration
             reconfiguration_cost = self._reconfiguration.cost(
@@ -373,15 +338,15 @@ class ExtendAlgorithm:
         self,
         telemetry: Telemetry,
         step: ConstructionStep,
-        runners_up: list[tuple[CandidateMove, float, float]],
+        rivals: list[tuple[CandidateMove, float, float]],
         *,
         whatif_calls: int,
         cache_hits: int,
         candidates: int,
     ) -> None:
         """One chosen event for the applied step, plus its best rejected
-        rivals (estimated benefit, no before/after state — they never
-        happened)."""
+        rivals among the moves the step priced (estimated benefit, no
+        before/after state — they never happened)."""
         assert step.index_after is not None
         telemetry.metrics.counter("extend.steps").increment()
         telemetry.emit_step(
@@ -409,7 +374,7 @@ class ExtendAlgorithm:
                 candidates_considered=candidates,
             )
         )
-        for runner, benefit, ratio in runners_up[:_REJECTED_LOG_COUNT]:
+        for runner, benefit, ratio in rivals:
             telemetry.emit_step(
                 StepEvent(
                     algorithm=self.name,
@@ -464,14 +429,10 @@ class _ConstructionState:
         n_best_singles: int | None,
         pair_seeds: bool,
         evaluation: EvaluationConfig,
-        warm_store: WarmBenefitStore | None = None,
     ) -> None:
         self._workload = workload
         self._schema = workload.schema
         self._optimizer = optimizer
-        self._warm = (
-            warm_store.session() if warm_store is not None else None
-        )
         self._reconfiguration = reconfiguration
         self._baseline = baseline
         self._max_width = max_width
@@ -564,10 +525,6 @@ class _ConstructionState:
     def close(self) -> None:
         """Finalize the engine (fold never-priced moves into stats)."""
         self._table.close()
-        if self._warm is not None:
-            statistics = self._table.statistics
-            statistics.warm_hits += self._warm.hits
-            statistics.warm_misses += self._warm.misses
 
     def _maintenance_delta(
         self, new_index: Index, old_index: Index | None = None
@@ -654,7 +611,7 @@ class _ConstructionState:
 
         if getattr(optimizer, "supports_batch", False):
 
-            def base() -> np.ndarray:
+            def price() -> np.ndarray:
                 # Affected positions always contain the index's leading
                 # attribute (by construction), so this prices the same
                 # applicable pairs the per-pair loop would.
@@ -668,7 +625,7 @@ class _ConstructionState:
 
         else:
 
-            def base() -> np.ndarray:
+            def price() -> np.ndarray:
                 return np.array(
                     [
                         optimizer.index_cost(queries[position], index)
@@ -677,22 +634,7 @@ class _ConstructionState:
                     dtype=np.float64,
                 )
 
-        warm = self._warm
-        if warm is None:
-            return base
-
-        def price_warm() -> np.ndarray:
-            # The affected positions of any constructive move are a
-            # pure function of the created index over a fixed workload,
-            # so the attribute tuple keys the stored column; a stored
-            # column is exactly what base() would return.
-            costs = warm.fetch(index.attributes, positions)
-            if costs is None:
-                costs = base()
-                warm.store(index.attributes, positions, costs)
-            return costs
-
-        return price_warm
+        return price
 
     def _build_single_move(self, attribute_id: int) -> CandidateMove | None:
         index = Index.of(self._schema, (attribute_id,))
@@ -703,7 +645,7 @@ class _ConstructionState:
             StepKind.NEW_SINGLE,
             None,
             index,
-            self._index_memory(index),
+            index_memory(self._schema, index),
             positions,
             self._weights[positions],
             self._reconfiguration.creation_cost(self._schema, index),
@@ -722,7 +664,7 @@ class _ConstructionState:
             kind,
             None,
             index,
-            self._index_memory(index),
+            index_memory(self._schema, index),
             positions,
             self._weights[positions],
             self._reconfiguration.creation_cost(self._schema, index),
@@ -730,37 +672,8 @@ class _ConstructionState:
             pricer=self._pricer(index, positions),
         )
 
-    def _index_memory(self, index: Index) -> int:
-        """``index_memory`` with a warm cross-run memo.
-
-        The footprint is a pure function of the schema and the index's
-        attribute tuple, so warm runs reuse the store's memo instead of
-        re-summing attribute value sizes.
-        """
-        warm = self._warm
-        if warm is None:
-            return index_memory(self._schema, index)
-        memory = warm.memory_for(index.attributes)
-        if memory is None:
-            memory = index_memory(self._schema, index)
-            warm.remember_memory(index.attributes, memory)
-        return memory
-
     def _positions_containing(self, required: frozenset[int]) -> np.ndarray:
         """Positions of queries whose attribute set contains ``required``."""
-        warm = self._warm
-        if warm is not None:
-            cached = warm.positions_for(required)
-            if cached is not None:
-                return cached
-        result = self._intersect_positions(required)
-        if warm is not None:
-            warm.remember_positions(required, result)
-        return result
-
-    def _intersect_positions(
-        self, required: frozenset[int]
-    ) -> np.ndarray:
         lists = []
         for attribute_id in required:
             positions = self._queries_with.get(attribute_id)
@@ -805,9 +718,9 @@ class _ConstructionState:
         positions = self._positions_containing(required)
         if positions.size == 0:
             return None
-        memory_delta = self._index_memory(extended) - self._index_memory(
-            index
-        )
+        memory_delta = index_memory(
+            self._schema, extended
+        ) - index_memory(self._schema, index)
         reconfiguration_delta = self._reconfiguration.creation_cost(
             self._schema, extended
         ) - self._reconfiguration.creation_cost(self._schema, index)
@@ -905,6 +818,14 @@ class _ConstructionState:
         return self._table.best(
             self._current, runner_up_count, max_memory_delta
         )
+
+    def priced_rivals(
+        self, count: int
+    ) -> list[tuple[CandidateMove, float, float]]:
+        """The last :meth:`best_move` winner's best rivals among the
+        moves already priced (no pricing; see
+        :meth:`~repro.core.evaluation.BenefitTable.priced_rivals`)."""
+        return self._table.priced_rivals(count)
 
     def apply(
         self, move: CandidateMove, benefit: float, step_number: int

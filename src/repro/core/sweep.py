@@ -1,22 +1,17 @@
-"""Multi-budget frontier sweep engine: price once, answer every budget.
+"""Multi-budget frontier sweeps: one Extend run per budget share.
 
 Every paper artifact is a *frontier*: the same workload swept over ~10
-budget shares.  Running Extend per budget from scratch pays the full
-what-if bill once per point, although the budget only gates which steps
-are *admissible* — the candidate pricing underneath is budget-invariant.
+budget shares.  :func:`sweep_select` is a plain loop — one
+:class:`~repro.core.extend.ExtendAlgorithm` run per share, in the
+caller's order, over the caller's what-if facade.  The budget only
+gates which steps are admissible; the candidate pricing underneath is
+budget-invariant, so every pair one point priced is a cache hit for the
+next, and a repeat sweep over the same facade makes no backend call at
+all.  On an unbounded facade the sweep's total backend calls are the
+same in any share order, and every point is **bit-identical** to its
+standalone run (the facade returns exactly what the backend would).
 
-:func:`sweep_select` exploits that: it runs the requested budget shares
-**descending**, threading one shared
-:class:`~repro.core.evaluation.WarmBenefitStore` through every per-budget
-:class:`~repro.core.extend.ExtendAlgorithm` run.  A candidate extension
-priced at ``w = 1.0`` is served from the store at ``w = 0.2`` instead of
-being re-priced, so the whole frontier costs roughly one run's worth of
-backend calls plus cheap re-selection.  The store's invariant (stored
-columns are exactly what cold pricing would return, over deterministic
-backends) guarantees every point's step trace stays **bit-identical** to
-its standalone run — shared vs. naive is a pure performance knob.
-
-The engine degrades instead of crashing: an expired deadline or (with
+The loop degrades instead of crashing: an expired deadline or (with
 ``on_error="partial"``) a mid-sweep backend failure truncates the sweep
 to the points already answered, tagged ``partial`` with the skipped
 shares recorded — a partial frontier beats no frontier.
@@ -28,7 +23,7 @@ Per-sweep counters surface as the ``sweep.*`` telemetry gauges via
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.core.extend import ExtendAlgorithm
@@ -39,7 +34,7 @@ from repro.core.steps import (
     SelectionResult,
 )
 from repro.cost.whatif import WhatIfOptimizer
-from repro.core.evaluation import EvaluationConfig, WarmBenefitStore
+from repro.core.evaluation import EvaluationConfig
 from repro.exceptions import ExperimentError
 from repro.indexes.memory import relative_budget
 from repro.resilience.deadline import Deadline
@@ -50,6 +45,7 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "SweepStatistics",
+    "budget_grid",
     "normalize_budget_shares",
     "parse_budget_sweep",
     "sweep_select",
@@ -106,12 +102,35 @@ def normalize_budget_shares(
     return tuple(normalized)
 
 
+def budget_grid(low: float, high: float, steps: int) -> list[float]:
+    """``steps`` evenly spaced budget shares from ``low`` to ``high``.
+
+    Budget shares are relative to the all-singles footprint (Eq. 10),
+    so the grid must stay inside ``0 <= low < high <= 1``; the figure
+    harnesses anchor at ``low = 0`` (the no-index point).  Interior
+    points are ``low + width * step``; the last point is ``high``
+    itself, which that formula can overshoot by an ulp
+    (``0.08 + 0.30666666666666664 * 3`` is ``1.0000000000000002``).
+    """
+    if steps < 2:
+        raise ExperimentError(f"need >= 2 budget steps, got {steps}")
+    if not 0 <= low < high <= 1:
+        raise ExperimentError(
+            f"invalid budget range [{low}, {high}]; shares are "
+            "relative to the all-singles footprint and must satisfy "
+            "0 <= low < high <= 1"
+        )
+    width = (high - low) / (steps - 1)
+    return [low + width * step for step in range(steps - 1)] + [high]
+
+
 def parse_budget_sweep(text: str) -> tuple[float, ...]:
     """Parse a ``low:high:steps`` sweep spec into budget shares.
 
     ``"0.1:1.0:10"`` means 10 evenly spaced shares from 0.1 to 1.0
-    inclusive.  The endpoints must satisfy ``0 < low < high <= 1`` and
-    ``steps >= 2``; the result passes :func:`normalize_budget_shares`.
+    inclusive (:func:`budget_grid`).  The endpoints must satisfy
+    ``0 < low < high <= 1`` and ``steps >= 2``; the result passes
+    :func:`normalize_budget_shares`.
     """
     parts = text.split(":")
     if len(parts) != 3:
@@ -135,10 +154,7 @@ def parse_budget_sweep(text: str) -> tuple[float, ...]:
             f"budget sweep range must satisfy 0 < low < high <= 1, "
             f"got [{low}, {high}]"
         )
-    width = (high - low) / (steps - 1)
-    return normalize_budget_shares(
-        [low + width * step for step in range(steps)]
-    )
+    return normalize_budget_shares(budget_grid(low, high, steps))
 
 
 @dataclass(frozen=True)
@@ -151,9 +167,6 @@ class SweepPoint:
     whatif_calls: int
     """Backend what-if calls this point added (facade cache misses
     during this point's selection — *not* the standalone-run count)."""
-    execution_order: int
-    """0-based position in the engine's descending execution order (the
-    point with the largest share executes first and pays the pricing)."""
 
     @property
     def status(self) -> str:
@@ -171,18 +184,7 @@ class SweepStatistics:
     """Budget shares actually answered (== ``points`` unless partial)."""
     backend_calls: int = 0
     """Backend what-if calls across the whole sweep."""
-    reprice_count: int = 0
-    """Backend calls made *after* the first executed point — pricing
-    the shared store could not serve (0 = perfect reuse)."""
-    warm_hits: int = 0
-    warm_misses: int = 0
     partial: bool = False
-
-    @property
-    def reuse_rate(self) -> float:
-        """Share of move pricings served by the shared warm store."""
-        total = self.warm_hits + self.warm_misses
-        return self.warm_hits / total if total else 0.0
 
     def publish(self, registry, prefix: str = "sweep") -> None:
         """Bridge the counters into a telemetry registry as gauges."""
@@ -193,12 +195,6 @@ class SweepStatistics:
         registry.gauge(f"{prefix}.backend_calls").set(
             self.backend_calls
         )
-        registry.gauge(f"{prefix}.reprice_count").set(
-            self.reprice_count
-        )
-        registry.gauge(f"{prefix}.warm_hits").set(self.warm_hits)
-        registry.gauge(f"{prefix}.warm_misses").set(self.warm_misses)
-        registry.gauge(f"{prefix}.reuse_rate").set(self.reuse_rate)
         registry.gauge(f"{prefix}.partial").set(
             1 if self.partial else 0
         )
@@ -209,8 +205,8 @@ class SweepResult:
     """The outcome of one multi-budget sweep."""
 
     points: tuple[SweepPoint, ...]
-    """Answered points, in the *caller's* share order (execution runs
-    descending; see :attr:`SweepPoint.execution_order`)."""
+    """Answered points, in the caller's share order (the order they
+    ran in)."""
     statistics: SweepStatistics
     partial: bool = False
     """True when the sweep was truncated (deadline or mid-sweep
@@ -291,35 +287,24 @@ def sweep_select(
     algorithm_factory: Callable[[WhatIfOptimizer], ExtendAlgorithm]
     | None = None,
     telemetry: Telemetry = NULL_TELEMETRY,
-    warm_store: WarmBenefitStore | None = None,
     evaluation: EvaluationConfig | None = None,
     deadline: Deadline | None = None,
     on_error: str = "raise",
     point_callback: Callable[[SweepPoint], None] | None = None,
 ) -> SweepResult:
-    """Answer every budget share with one shared pricing pass.
+    """Answer every budget share with one Extend run over ``optimizer``.
 
-    Shares execute in **descending** order so the first (largest) point
-    populates the shared ``warm_store`` with nearly every cost column
-    the smaller budgets will need; each later point re-selects against
-    the store and only prices candidates whose optimistic bound first
-    becomes competitive under its tighter admissibility gate.  The
-    returned :attr:`SweepResult.points` are re-ordered back to the
-    caller's share order, each bit-identical (step trace, costs,
-    configuration) to a standalone per-budget run.
+    Shares run in the caller's order, one run each, all over the same
+    what-if facade: a pair priced for one point is a cache hit for every
+    later point (and for later sweeps or requests over that facade).
+    Each point is bit-identical (step trace, costs, configuration) to a
+    standalone run at its budget.
 
     Parameters
     ----------
     algorithm_factory:
         Builds the per-point algorithm (ablation variants etc.);
-        defaults to a plain :class:`ExtendAlgorithm`.  Factories whose
-        product offers ``with_warm_store`` are transparently attached
-        to the shared store; others still run correctly, just without
-        cross-point pricing reuse.
-    warm_store:
-        The shared store; a private one is created when ``None``.  Pass
-        a resident store (the service's per-registration one) to keep
-        the sweep warm across *requests* as well as across points.
+        defaults to a plain :class:`ExtendAlgorithm`.
     deadline:
         Sweep-wide wall-clock budget.  The point running at expiry
         returns degraded best-so-far (Extend's usual contract); points
@@ -331,9 +316,8 @@ def sweep_select(
         least one exists (the service's worker-death posture) and
         re-raises otherwise.
     point_callback:
-        Called with each :class:`SweepPoint` as it completes, in
-        execution (descending) order — the service streams these as
-        per-point events.
+        Called with each :class:`SweepPoint` as it completes — the
+        service streams these as per-point events.
     """
     if on_error not in ("raise", "partial"):
         raise ExperimentError(
@@ -341,17 +325,15 @@ def sweep_select(
         )
     shares = _check_sweep_shares(budget_shares)
     deadline = deadline or Deadline.none()
-    store = warm_store if warm_store is not None else WarmBenefitStore()
     statistics = SweepStatistics(points=len(shares))
-    execution_order = sorted(shares, reverse=True)
-    answered: dict[float, SweepPoint] = {}
+    answered: list[SweepPoint] = []
     notes: list[str] = []
     partial = False
 
     with telemetry.tracer.span(
         "sweep.select", points=len(shares)
     ) as sweep_span:
-        for position, share in enumerate(execution_order):
+        for position, share in enumerate(shares):
             if deadline.expired and position > 0:
                 partial = True
                 notes.append(
@@ -360,12 +342,12 @@ def sweep_select(
                 )
                 break
             budget = relative_budget(workload.schema, share)
-            algorithm = _point_algorithm(
-                optimizer,
-                algorithm_factory,
-                store,
-                telemetry,
-                evaluation,
+            algorithm = (
+                algorithm_factory(optimizer)
+                if algorithm_factory is not None
+                else ExtendAlgorithm(
+                    optimizer, telemetry=telemetry, evaluation=evaluation
+                )
             )
             calls_before = optimizer.calls
             try:
@@ -385,32 +367,17 @@ def sweep_select(
                 raise
             calls = optimizer.calls - calls_before
             statistics.backend_calls += calls
-            if position > 0:
-                statistics.reprice_count += calls
-            evaluation_statistics = getattr(
-                algorithm, "last_evaluation_statistics", None
-            )
-            if evaluation_statistics is not None:
-                statistics.warm_hits += evaluation_statistics.warm_hits
-                statistics.warm_misses += (
-                    evaluation_statistics.warm_misses
-                )
             point = SweepPoint(
                 budget_share=share,
                 budget_bytes=budget,
                 result=result,
                 whatif_calls=calls,
-                execution_order=position,
             )
-            answered[share] = point
+            answered.append(point)
             statistics.completed_points += 1
             if point_callback is not None:
                 point_callback(point)
-        skipped = tuple(
-            share for share in shares if share not in answered
-        )
-        if skipped and not partial:
-            partial = True
+        skipped = shares[len(answered):]
         statistics.partial = partial
         if telemetry.enabled:
             sweep_span.annotate(
@@ -419,33 +386,9 @@ def sweep_select(
             sweep_span.annotate("partial", partial)
             statistics.publish(telemetry.metrics)
     return SweepResult(
-        points=tuple(
-            answered[share] for share in shares if share in answered
-        ),
+        points=tuple(answered),
         statistics=statistics,
         partial=partial,
         skipped_shares=skipped,
         notes=tuple(notes),
-    )
-
-
-def _point_algorithm(
-    optimizer: WhatIfOptimizer,
-    algorithm_factory,
-    store: WarmBenefitStore,
-    telemetry: Telemetry,
-    evaluation: EvaluationConfig | None,
-):
-    """One budget point's algorithm, attached to the shared store."""
-    if algorithm_factory is not None:
-        algorithm = algorithm_factory(optimizer)
-        attach = getattr(algorithm, "with_warm_store", None)
-        if attach is not None:
-            algorithm = attach(store)
-        return algorithm
-    return ExtendAlgorithm(
-        optimizer,
-        telemetry=telemetry,
-        evaluation=evaluation,
-        warm_store=store,
     )

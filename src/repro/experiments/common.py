@@ -12,11 +12,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.cophy.solver import CoPhyAlgorithm
-from repro.core.evaluation import WarmBenefitStore
 from repro.core.extend import ExtendAlgorithm
 from repro.core.frontier import Frontier, FrontierPoint
 from repro.core.steps import SelectionResult
-from repro.core.sweep import sweep_select
+from repro.core.sweep import budget_grid, sweep_select
 from repro.cost.kernel import VectorizedCostSource
 from repro.cost.model import CostModel
 from repro.cost.whatif import AnalyticalCostSource, WhatIfOptimizer
@@ -46,8 +45,7 @@ class BudgetSweepSeries:
     whatif_calls: int = 0
     point_whatif_calls: list[int] = field(default_factory=list)
     """Backend what-if calls attributed to each point, parallel to
-    ``points``.  Under the shared sweep engine the first *executed*
-    (largest-budget) point carries nearly all of them."""
+    ``points`` (pairs an earlier point priced are facade cache hits)."""
     notes: list[str] = field(default_factory=list)
 
     def add(
@@ -97,29 +95,6 @@ def analytic_optimizer(
     )
 
 
-def budget_grid(
-    low: float, high: float, steps: int
-) -> list[float]:
-    """Evenly spaced budget shares in ``[low, high]`` (inclusive).
-
-    Budget shares are relative to the all-singles footprint (Eq. 10),
-    so the grid must stay inside ``0 <= low < high <= 1``; the figure
-    harnesses anchor at ``low = 0`` (the no-index point).  Strictly
-    positive user-supplied sweep inputs go through
-    :func:`repro.core.sweep.normalize_budget_shares` instead.
-    """
-    if steps < 2:
-        raise ExperimentError(f"need >= 2 budget steps, got {steps}")
-    if not 0 <= low < high <= 1:
-        raise ExperimentError(
-            f"invalid budget range [{low}, {high}]; shares are "
-            "relative to the all-singles footprint and must satisfy "
-            "0 <= low < high <= 1"
-        )
-    width = (high - low) / (steps - 1)
-    return [low + width * step for step in range(steps)]
-
-
 def _progress(verbose: bool, message: str) -> None:
     if verbose:
         print(f"  [{message}]", flush=True)
@@ -147,85 +122,44 @@ def sweep_extend(
     cost_fn: Callable[[SelectionResult], float] | None = None,
     telemetry: Telemetry | None = None,
     verbose: bool = False,
-    engine: str = "shared",
-    warm_store: WarmBenefitStore | None = None,
 ) -> BudgetSweepSeries:
-    """Run Extend once per budget share.
+    """Run Extend once per budget share (:func:`sweep_select`).
 
-    ``engine`` picks how the per-budget runs share work:
-
-    * ``"shared"`` (default) routes through the multi-budget engine of
-      :mod:`repro.core.sweep` — shares run **descending** over one warm
-      cost-column store, so the frontier costs roughly one run's worth
-      of backend calls.  Every point stays bit-identical to its
-      standalone run; the series still reports points in the caller's
-      share order.
-    * ``"naive"`` is the historical loop: a fresh
-      :class:`ExtendAlgorithm` per budget, ascending, re-pricing
-      through the facade cache each time.
-
-    All timing flows through the shared telemetry tracer; pass an
-    enabled session via ``telemetry`` to keep the spans (and the
-    per-step event log), otherwise a throwaway session is used.
+    Every run prices through ``optimizer``, so a pair one point priced
+    is a cache hit for the later ones.  All timing flows through the
+    shared telemetry tracer; pass an enabled session via ``telemetry``
+    to keep the spans (and the per-step event log), otherwise a
+    throwaway session is used.
     """
     telemetry = telemetry or Telemetry()
-    if engine not in ("shared", "naive"):
-        raise ExperimentError(
-            f"unknown sweep engine {engine!r}; pick 'shared' or 'naive'"
-        )
     series = BudgetSweepSeries(name=name)
     calls_before = optimizer.calls
-    with telemetry.tracer.span("sweep.extend", series=name, engine=engine):
-        if engine == "shared":
 
-            def on_point(point):
-                _progress(
-                    verbose,
-                    f"{name} w={point.budget_share:g}: "
-                    f"cost={point.result.total_cost:.4g} "
-                    f"in {point.result.runtime_seconds:.2f}s "
-                    f"(+{point.whatif_calls} calls)",
-                )
+    def on_point(point):
+        _progress(
+            verbose,
+            f"{name} w={point.budget_share:g}: "
+            f"cost={point.result.total_cost:.4g} "
+            f"in {point.result.runtime_seconds:.2f}s "
+            f"(+{point.whatif_calls} calls)",
+        )
 
-            sweep = sweep_select(
-                workload,
-                optimizer,
-                budget_shares,
-                algorithm_factory=algorithm_factory,
-                telemetry=telemetry,
-                warm_store=warm_store,
-                point_callback=on_point,
-            )
-            for point in sweep.points:
-                series.add(
-                    point.budget_share,
-                    _series_cost(point.result, cost_fn),
-                    point.result.runtime_seconds,
-                    whatif_calls=point.whatif_calls,
-                )
-        else:
-            for w in budget_shares:
-                budget = relative_budget(workload.schema, w)
-                algorithm = (
-                    algorithm_factory(optimizer)
-                    if algorithm_factory
-                    else ExtendAlgorithm(optimizer, telemetry=telemetry)
-                )
-                point_calls = optimizer.calls
-                with telemetry.tracer.span("sweep.point", w=w):
-                    result = algorithm.select(workload, budget)
-                    cost = _series_cost(result, cost_fn)
-                series.add(
-                    w,
-                    cost,
-                    result.runtime_seconds,
-                    whatif_calls=optimizer.calls - point_calls,
-                )
-                _progress(
-                    verbose,
-                    f"{name} w={w:g}: cost={cost:.4g} "
-                    f"in {result.runtime_seconds:.2f}s",
-                )
+    with telemetry.tracer.span("sweep.extend", series=name):
+        sweep = sweep_select(
+            workload,
+            optimizer,
+            budget_shares,
+            algorithm_factory=algorithm_factory,
+            telemetry=telemetry,
+            point_callback=on_point,
+        )
+    for point in sweep.points:
+        series.add(
+            point.budget_share,
+            _series_cost(point.result, cost_fn),
+            point.result.runtime_seconds,
+            whatif_calls=point.whatif_calls,
+        )
     series.whatif_calls = optimizer.calls - calls_before
     return series
 

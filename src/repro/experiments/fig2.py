@@ -53,7 +53,6 @@ class Fig2Config:
     time_limit: float = 120.0
     include_imax: bool = True
     seed: int = 1909
-    sweep_engine: str = "shared"
 
 
 def run(
@@ -81,7 +80,6 @@ def run(
             optimizer,
             budgets,
             verbose=verbose,
-            engine=config.sweep_engine,
         )
     ]
     for heuristic_name, heuristic in CANDIDATE_HEURISTICS.items():
@@ -142,20 +140,11 @@ def main(argv: list[str] | None = None) -> None:
         help="skip the exhaustive-candidate CoPhy reference",
     )
     parser.add_argument("--time-limit", type=float, default=120.0)
-    parser.add_argument(
-        "--sweep-engine",
-        choices=("shared", "naive"),
-        default="shared",
-        help="Extend sweep engine: 'shared' reuses one warm "
-        "cost-column store across budgets (default), 'naive' is the "
-        "historical per-budget loop (bit-identical, slower)",
-    )
     arguments = parser.parse_args(argv)
     config = Fig2Config(
         queries_per_table=arguments.queries_per_table,
         include_imax=not arguments.no_imax,
         time_limit=arguments.time_limit,
-        sweep_engine=arguments.sweep_engine,
     )
     print(render(run(config, verbose=True)))
 

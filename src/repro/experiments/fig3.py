@@ -46,7 +46,6 @@ class Fig3Config:
     time_limit: float = 120.0
     include_imax: bool = True
     seed: int = 1909
-    sweep_engine: str = "shared"
 
 
 def run(
@@ -74,7 +73,6 @@ def run(
             optimizer,
             budgets,
             verbose=verbose,
-            engine=config.sweep_engine,
         )
     ]
     for size in config.candidate_set_sizes:
@@ -126,20 +124,11 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--queries-per-table", type=int, default=100)
     parser.add_argument("--no-imax", action="store_true")
     parser.add_argument("--time-limit", type=float, default=120.0)
-    parser.add_argument(
-        "--sweep-engine",
-        choices=("shared", "naive"),
-        default="shared",
-        help="Extend sweep engine: 'shared' reuses one warm "
-        "cost-column store across budgets (default), 'naive' is the "
-        "historical per-budget loop (bit-identical, slower)",
-    )
     arguments = parser.parse_args(argv)
     config = Fig3Config(
         queries_per_table=arguments.queries_per_table,
         include_imax=not arguments.no_imax,
         time_limit=arguments.time_limit,
-        sweep_engine=arguments.sweep_engine,
     )
     print(render(run(config, verbose=True)))
 

@@ -53,7 +53,6 @@ class Fig4Config:
     time_limit: float = 300.0
     include_imax: bool = True
     seed: int = 500
-    sweep_engine: str = "shared"
 
 
 def run(
@@ -87,7 +86,6 @@ def run(
             budgets,
             telemetry=telemetry,
             verbose=verbose,
-            engine=config.sweep_engine,
         )
     ]
     for size in config.candidate_set_sizes:
@@ -151,20 +149,11 @@ def main(argv: list[str] | None = None) -> None:
     )
     parser.add_argument("--no-imax", action="store_true")
     parser.add_argument("--time-limit", type=float, default=300.0)
-    parser.add_argument(
-        "--sweep-engine",
-        choices=("shared", "naive"),
-        default="shared",
-        help="Extend sweep engine: 'shared' reuses one warm "
-        "cost-column store across budgets (default), 'naive' is the "
-        "historical per-budget loop (bit-identical, slower)",
-    )
     arguments = parser.parse_args(argv)
     config = Fig4Config(
         workload_scale=arguments.scale,
         include_imax=not arguments.no_imax,
         time_limit=arguments.time_limit,
-        sweep_engine=arguments.sweep_engine,
     )
     print(render(run(config, verbose=True)))
 

@@ -1,7 +1,7 @@
 """Advisor-as-a-service: a concurrent, deadline-aware daemon.
 
-The :class:`AdvisorService` keeps compiled workloads, warm benefit
-tables, and the shared what-if cache resident across requests, and
+The :class:`AdvisorService` keeps compiled workloads and the shared
+what-if cache resident across requests, and
 serves concurrent ``recommend`` requests through a bounded thread-pool
 executor with fail-fast admission control.  The JSON-lines protocol in
 :mod:`repro.service.protocol` exposes the same surface over

@@ -11,8 +11,8 @@ service's invariants after every scenario:
   ``queue_depth`` return to zero, ``admitted == completed + failed``);
 * no event stream retains phantom subscribers after its clients died;
 * the worker pool is back at full strength (hung workers replaced);
-* restored warm stores are bit-identical to what was snapshotted, or
-  the service is *cleanly* cold — never half-restored.
+* restored what-if caches are bit-identical to what was snapshotted,
+  or the service is *cleanly* cold — never half-restored.
 
 Scenarios (``SCENARIOS``):
 
@@ -40,8 +40,8 @@ Scenarios (``SCENARIOS``):
 ``corrupt_snapshot``
     A snapshot is truncated, bit-flipped, or version-skewed between
     runs; restart must detect it, fall back to a cold start, and keep
-    serving.  The un-corrupted control restart must restore warm
-    columns bit-identically.
+    serving.  The un-corrupted control restart must restore the what-if
+    cache bit-identically.
 ``clock_skew``
     The service clock (a :class:`~repro.resilience.faults.ManualClock`)
     jumps forward mid-request via injected latency spikes from a
@@ -99,13 +99,13 @@ SCENARIOS = (
 _BUDGET_SHARE = 0.3
 _OUTCOME_WAIT_S = 30.0
 
-# Sweep-chaos grid: on the enterprise workload below, at least one
-# budget past the first still prices fresh candidates (tight budgets
-# reject the wide indexes the big-budget pass priced and fall back to
-# narrow ones it never saw), which is what gives the scripted death a
-# non-empty window to land in.  The uniform generator workloads are
-# warm-covered after the first point and would make the scenario
-# vacuous.
+# Sweep-chaos grid, descending: on the enterprise workload below, at
+# least one budget past the first still prices fresh candidates (tight
+# budgets reject the wide indexes the big-budget point priced and fall
+# back to narrow ones it never saw), which is what gives the scripted
+# death a non-empty window to land in.  On the uniform generator
+# workloads the first point prices everything the later ones need,
+# which would make the scenario vacuous.
 _SWEEP_SHARES = (0.1, 0.05, 0.02, 0.01)
 
 
@@ -335,7 +335,7 @@ class ChaosHarness:
         hang_started = threading.Event()
         # A cold selection run against the chaos workload makes ~110
         # backend calls (warm ones make none), and a dead request's
-        # already-priced columns stay in the warm store, so successive
+        # already-priced pairs stay in the what-if cache, so successive
         # requests keep advancing the shared call counter through the
         # cold-pricing window.  Deaths land early in that window, the
         # hang later (disjoint ranges: a call dies or hangs, never
@@ -460,7 +460,8 @@ class ChaosHarness:
 
         # Probe pass: a fault-free twin service runs the exact sweep
         # the victim will run and reports each point's backend-call
-        # delta, which maps the raw-call windows the death can be
+        # delta, in the order the points ran (the caller's share
+        # order), which maps the raw-call windows the death can be
         # aimed into.  Both services are deterministic from the same
         # cold state, so the victim replays the probe's call sequence
         # call for call.
@@ -478,10 +479,7 @@ class ChaosHarness:
                     budget_shares=_SWEEP_SHARES,
                 )
             )
-        ordered = sorted(
-            probed.sweep.points,
-            key=lambda point: point.execution_order,
-        )
+        ordered = probed.sweep.points
         if probe_source._calls != sum(
             point.whatif_calls for point in ordered
         ):
@@ -569,11 +567,7 @@ class ChaosHarness:
                         f"(status {response.status!r})"
                     )
                 answered = [
-                    point.budget_share
-                    for point in sorted(
-                        response.sweep.points,
-                        key=lambda point: point.execution_order,
-                    )
+                    point.budget_share for point in response.sweep.points
                 ]
                 report.details["answered_shares"] = answered
                 if answered != expected_shares:
@@ -582,9 +576,8 @@ class ChaosHarness:
                         "expected exactly the pre-death prefix "
                         f"{expected_shares}"
                     )
-                if sorted(
-                    answered + list(response.sweep.skipped_shares),
-                    reverse=True,
+                if answered + list(
+                    response.sweep.skipped_shares
                 ) != list(_SWEEP_SHARES):
                     report.violations.append(
                         "answered + skipped shares do not add back "
@@ -609,8 +602,8 @@ class ChaosHarness:
                     )
             # The service must survive its worker's death: the same
             # registration answers a repeat sweep cleanly (the
-            # scripted death is one-shot, the completed prefix stayed
-            # warm).
+            # scripted death is one-shot, the completed prefix's pairs
+            # stayed cached).
             repeat_ticket = service.submit_sweep(
                 SweepRequest(
                     workload="sweep-chaos",
@@ -863,12 +856,7 @@ class ChaosHarness:
                         workload="chaos", budget_share=_BUDGET_SHARE
                     )
                 )
-                baseline = {
-                    kernel: store.entries()
-                    for kernel, store in seeder.registry.get(
-                        "chaos"
-                    ).warm_stores.items()
-                }
+                baseline = _cache_export(seeder)
             snapshot = directory / "service-snapshot.json"
             pristine = snapshot.read_bytes()
             report.admitted += 1
@@ -883,15 +871,10 @@ class ChaosHarness:
                     report.violations.append(
                         "clean restart did not restore the snapshot"
                     )
-                else:
-                    restored = restarted.registry.get("chaos")
-                    for kernel, entries in baseline.items():
-                        back = restored.warm_store(kernel).entries()
-                        if not _entries_identical(entries, back):
-                            report.violations.append(
-                                f"restored {kernel} warm store is "
-                                "not bit-identical"
-                            )
+                elif _cache_export(restarted) != baseline:
+                    report.violations.append(
+                        "restored what-if cache is not bit-identical"
+                    )
                 response = restarted.recommend(
                     RecommendRequest(
                         workload="chaos", budget_share=_BUDGET_SHARE
@@ -901,7 +884,7 @@ class ChaosHarness:
                 report.completed += 1
                 if not response.warm:
                     report.violations.append(
-                        "restored warm store did not make the "
+                        "restored what-if cache did not make the "
                         "first post-restart request warm"
                     )
 
@@ -1014,20 +997,19 @@ class ChaosHarness:
         return report
 
 
-def _entries_identical(left, right) -> bool:
-    """Bit-identical warm-store contents (keys, positions, costs)."""
-    if len(left) != len(right):
-        return False
-    for (key_l, pos_l, cost_l), (key_r, pos_r, cost_r) in zip(
-        left, right
-    ):
-        if key_l != key_r:
-            return False
-        if pos_l.tolist() != pos_r.tolist():
-            return False
-        if cost_l.tobytes() != cost_r.tobytes():
-            return False
-    return True
+def _cache_export(service) -> str:
+    """The service's what-if cache entries for its ``chaos``
+    registration, per built kernel, as canonical JSON (equal strings
+    mean bit-identical costs: ``json`` writes floats by ``repr``)."""
+    queries = tuple(service.registry.get("chaos").workload)
+    stacks = service.kernel_stacks
+    return json.dumps(
+        {
+            kernel: stacks.stack(kernel)[1].export_cache(queries)
+            for kernel in sorted(stacks.built_kernels())
+        },
+        sort_keys=True,
+    )
 
 
 def _corrupt(pristine: bytes, corruption: str, rng) -> bytes:

@@ -3,9 +3,9 @@
 An :class:`AdvisorService` is one schema's long-lived recommendation
 daemon.  Everything expensive stays resident between requests — the
 per-kernel what-if stacks (shared :class:`~repro.cost.whatif.WhatIfOptimizer`
-caches, compiled workload packs of the vectorized kernel) and the
-per-workload warm benefit tables — so the second request for a
-registered workload skips nearly all cost-model work of the first.
+caches, compiled workload packs of the vectorized kernel) — so a
+repeated request for a registered workload makes no backend what-if
+call.
 
 Admission is fail-fast: at most ``max_concurrency`` requests execute
 while up to ``queue_depth`` more wait; a submit beyond that raises
@@ -17,8 +17,8 @@ best-so-far results rather than missing deadlines silently.
 
 The service is crash-tolerant and restartable:
 
-* With a ``snapshot_dir`` the registered workloads and their warm
-  benefit stores are persisted (checksummed, atomic) on an interval, on
+* With a ``snapshot_dir`` the registered workloads and their what-if
+  cache entries are persisted (checksummed, atomic) on an interval, on
   demand, and on drain, and restored at construction — see
   :mod:`repro.service.durability`.
 * A per-request **watchdog** abandons and replaces any worker thread
@@ -122,7 +122,8 @@ class ServiceStatistics:
 
     @property
     def warm_request_rate(self) -> float:
-        """Share of completed requests served from warm tables."""
+        """Share of completed requests that ran warm (against a
+        workload version an earlier request had priced)."""
         return (
             self.warm_requests / self.completed if self.completed else 0.0
         )
@@ -394,8 +395,8 @@ class AdvisorService:
         deterministic tests disable them and call
         :meth:`run_watchdog_once` / :meth:`snapshot_now` directly.
     snapshot_dir:
-        Directory for durable snapshots of registrations and warm
-        benefit stores; restored (when present and sane) at
+        Directory for durable snapshots of registrations and their
+        what-if cache entries; restored (when present and sane) at
         construction.  ``None`` disables durability.
     snapshot_interval_s:
         Period of the background snapshot thread; ``None``/``0`` means
@@ -660,11 +661,11 @@ class AdvisorService:
 
         The whole sweep holds a single concurrency slot and a single
         deadline: admission control sees one request no matter how many
-        budget shares it answers.  Execution runs through the shared
-        sweep engine over the registration's resident warm benefit
-        store, so a sweep over a warm registration re-prices nothing —
-        and per-point progress streams on the ticket's event stream
-        (``sweep_point`` records between the step events).
+        budget shares it answers.  Every point prices through the
+        kernel's resident what-if facade, so a sweep over a warm
+        registration re-prices nothing — and per-point progress streams
+        on the ticket's event stream (``sweep_point`` records between
+        the step events).
         """
         registration = self._registry.get(request.workload)
         kernel = request.cost_kernel or self._default_kernel
@@ -793,8 +794,7 @@ class AdvisorService:
         telemetry = Telemetry(sinks=(StreamSink(record.stream),))
         try:
             resilient, optimizer = self._stacks.stack(kernel)
-            warm_store = registration.warm_store(kernel)
-            warm = len(warm_store) > 0
+            warm = registration.is_priced(kernel, version)
             before = optimizer.statistics.copy()
             result = run_selection(
                 workload,
@@ -804,7 +804,6 @@ class AdvisorService:
                 telemetry=telemetry,
                 candidate_width=request.candidate_width,
                 deadline=record.deadline,
-                warm_store=warm_store,
             )
             wall_seconds = max(0.0, self._clock() - started)
             telemetry.record_whatif(optimizer.statistics.since(before))
@@ -815,6 +814,7 @@ class AdvisorService:
             lifetime = self._account_completion(
                 record,
                 registration,
+                (kernel, version),
                 degraded=result.status == STATUS_DEGRADED,
                 warm=warm,
                 queue_seconds=queue_seconds,
@@ -829,9 +829,6 @@ class AdvisorService:
             metrics.gauge("service.queue_seconds").set(queue_seconds)
             metrics.gauge("service.wall_seconds").set(wall_seconds)
             metrics.gauge("service.warm").set(1 if warm else 0)
-            metrics.gauge("service.warm_table_hit_rate").set(
-                metrics.snapshot().get("evaluation.warm_hit_rate", 0.0)
-            )
             metrics.gauge("service.breaker_state").set(
                 resilient.statistics.breaker_state.value
             )
@@ -890,8 +887,7 @@ class AdvisorService:
         telemetry = Telemetry(sinks=(StreamSink(record.stream),))
         try:
             resilient, optimizer = self._stacks.stack(kernel)
-            warm_store = registration.warm_store(kernel)
-            warm = len(warm_store) > 0
+            warm = registration.is_priced(kernel, version)
             before = optimizer.statistics.copy()
 
             def on_point(point) -> None:
@@ -908,7 +904,6 @@ class AdvisorService:
                         "total_cost": point.result.total_cost,
                         "memory": point.result.memory,
                         "whatif_calls": point.whatif_calls,
-                        "execution_order": point.execution_order,
                     }
                 )
 
@@ -921,7 +916,6 @@ class AdvisorService:
                 optimizer,
                 request.budget_shares,
                 telemetry=telemetry,
-                warm_store=warm_store,
                 deadline=record.deadline,
                 on_error="partial",
                 point_callback=on_point,
@@ -936,6 +930,7 @@ class AdvisorService:
             lifetime = self._account_completion(
                 record,
                 registration,
+                (kernel, version),
                 degraded=status == STATUS_DEGRADED,
                 warm=warm,
                 queue_seconds=queue_seconds,
@@ -949,9 +944,6 @@ class AdvisorService:
             metrics.gauge("service.queue_seconds").set(queue_seconds)
             metrics.gauge("service.wall_seconds").set(wall_seconds)
             metrics.gauge("service.warm").set(1 if warm else 0)
-            metrics.gauge("service.warm_table_hit_rate").set(
-                metrics.snapshot().get("evaluation.warm_hit_rate", 0.0)
-            )
             metrics.gauge("service.breaker_state").set(
                 resilient.statistics.breaker_state.value
             )
@@ -1003,14 +995,16 @@ class AdvisorService:
         self,
         record: _RequestRecord,
         registration: WorkloadRegistration,
+        priced: tuple[str, int],
         *,
         degraded: bool,
         warm: bool,
         queue_seconds: float,
         wall_seconds: float,
     ) -> ServiceStatistics | None:
-        """Mark a request completed; returns the lifetime counters, or
-        ``None`` when the request already reached a terminal state."""
+        """Mark a request completed and its ``(kernel, version)`` priced
+        (later requests there run warm); returns the lifetime counters,
+        or ``None`` when the request already reached a terminal state."""
         with self._lock:
             if record.terminal:
                 return None
@@ -1025,6 +1019,7 @@ class AdvisorService:
             statistics.wall_seconds_total += wall_seconds
             self._recent_wall.append(wall_seconds)
             registration.served += 1
+            registration.mark_priced(*priced)
             self._release_slot(record)
             return statistics.copy()
 

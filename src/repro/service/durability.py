@@ -1,11 +1,10 @@
 """Durable snapshots of the advisor service's resident tuning state.
 
 A long-running :class:`~repro.service.AdvisorService` accumulates
-expensive state — registered workloads, their warm benefit stores of
-priced cost columns, and the shared what-if caches those columns were
-priced from.  A crash or restart would throw all of it away and force
-every client back through a cold start.  This module writes that state
-to disk and brings it back:
+expensive state — registered workloads and the shared what-if caches
+their requests priced.  A crash or restart would throw all of it away
+and force every client back through a cold start.  This module writes
+that state to disk and brings it back:
 
 * **Versioned** — the envelope carries a format name and version; a
   reader refusing an unknown version falls back to a cold start instead
@@ -19,10 +18,10 @@ to disk and brings it back:
 
 Restore is **never fatal**: a missing, truncated, corrupt, version-skewed
 or schema-mismatched snapshot is logged, counted, and discarded — the
-service boots cold.  A successful restore is exact: cost columns come
+service boots cold.  A successful restore is exact: what-if costs come
 back bit-identical (JSON floats round-trip ``float64`` exactly through
 ``repr``), so a post-restart warm request selects the same steps a
-pre-crash warm request would have.
+pre-crash warm request would have, without a backend call.
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ import logging
 import os
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from repro.exceptions import ExperimentError, SnapshotError
 from repro.persistence import schema_to_dict
@@ -55,7 +52,7 @@ __all__ = [
 logger = logging.getLogger("repro.service.durability")
 
 SNAPSHOT_FORMAT = "repro-service-snapshot"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 SNAPSHOT_FILENAME = "service-snapshot.json"
 
 _RESTORE_OK = "ok"
@@ -77,7 +74,8 @@ class RestoreReport:
     reason: str
     sequence: int = 0
     workloads: int = 0
-    warm_columns: int = 0
+    whatif_entries: int = 0
+    """What-if cache entries (costs and maintenance) installed."""
 
     @property
     def corrupt(self) -> bool:
@@ -90,7 +88,7 @@ def schema_fingerprint(schema) -> str:
 
     Snapshots embed it so a restore against a *different* schema (same
     directory reused, schema drifted between releases) is detected as
-    skew instead of producing warm columns that misprice everything.
+    skew instead of producing cached costs that misprice everything.
     """
     canonical = json.dumps(
         schema_to_dict(schema), sort_keys=True, separators=(",", ":")
@@ -104,28 +102,17 @@ def snapshot_path(directory: str | Path) -> Path:
 
 
 def _workload_payload(registration, stacks=None) -> dict:
-    """One registration (queries, in workload order, plus warm columns).
+    """One registration (queries, in workload order, plus its costs).
 
-    Query *order* is significant: warm-store position arrays index into
-    the workload's query sequence, so restore must rebuild it verbatim
-    (the what-if cache export below is position-keyed against it too).
+    Query *order* is significant: the what-if cache export below is
+    keyed by query position, so restore must rebuild it verbatim.
 
     When ``stacks`` (the service's :class:`~repro.advisor.KernelStacks`)
     is given, the shared what-if caches are exported scoped to this
     registration's queries, one section per built kernel — that is what
     lets a restored service answer a repeat request with *zero* backend
-    calls, not just zero warm-store misses.
+    calls.
     """
-    warm = {}
-    for kernel, store in sorted(dict(registration.warm_stores).items()):
-        warm[kernel] = [
-            {
-                "attributes": list(attributes),
-                "positions": [int(p) for p in positions],
-                "costs": [float(c) for c in costs],
-            }
-            for attributes, positions, costs in store.entries()
-        ]
     queries = tuple(registration.workload)
     whatif = {}
     if stacks is not None:
@@ -148,7 +135,6 @@ def _workload_payload(registration, stacks=None) -> dict:
             }
             for query in registration.workload
         ],
-        "warm": warm,
         "whatif": whatif,
     }
 
@@ -262,13 +248,15 @@ def read_snapshot(
 def restore_registry(
     directory: str | Path, *, schema, registry, stacks=None
 ) -> RestoreReport:
-    """Restore registrations and warm stores from a snapshot, if sane.
+    """Restore registrations and what-if caches from a snapshot, if sane.
 
     Corruption of any flavour (including a schema fingerprint that no
     longer matches) degrades to a cold start: nothing is installed into
     ``registry`` and the report says why.  On success every snapshotted
-    workload is re-registered at its old version with its warm cost
-    columns re-frozen bit-identically.
+    workload is re-registered at its old version, its what-if cache
+    entries are re-installed bit-identically into ``stacks``, and each
+    kernel it carried entries for counts as priced at that version (the
+    first request there runs warm).
     """
     payload, reason = read_snapshot(directory)
     if payload is None:
@@ -283,7 +271,7 @@ def restore_registry(
     try:
         workloads = payload["workloads"]
         sequence = int(payload["sequence"])
-        restored_columns = 0
+        restored_entries = 0
         for entry in workloads:
             queries = [
                 Query(
@@ -301,19 +289,15 @@ def restore_registry(
                 version=int(entry["version"]),
                 served=int(entry["served"]),
             )
-            for kernel, columns in entry["warm"].items():
-                store = registration.warm_store(kernel)
-                for column in columns:
-                    store.put(
-                        tuple(column["attributes"]),
-                        np.array(column["positions"], dtype=np.intp),
-                        np.array(column["costs"], dtype=np.float64),
-                    )
-                    restored_columns += 1
             if stacks is not None:
-                for kernel, cached in entry.get("whatif", {}).items():
+                for kernel, cached in entry["whatif"].items():
                     _, optimizer = stacks.stack(kernel)
-                    optimizer.import_cache(queries, cached)
+                    restored_entries += optimizer.import_cache(
+                        queries, cached
+                    )
+                    registration.mark_priced(
+                        kernel, registration.version
+                    )
     except (
         KeyError,
         TypeError,
@@ -335,10 +319,10 @@ def restore_registry(
             registry.evict(name)
         return RestoreReport(restored=False, reason="malformed-payload")
     logger.info(
-        "restored %d workload(s), %d warm column(s) from snapshot "
+        "restored %d workload(s), %d what-if entries from snapshot "
         "sequence %d in %s",
         len(workloads),
-        restored_columns,
+        restored_entries,
         sequence,
         directory,
     )
@@ -347,5 +331,5 @@ def restore_registry(
         reason=_RESTORE_OK,
         sequence=sequence,
         workloads=len(workloads),
-        warm_columns=restored_columns,
+        whatif_entries=restored_entries,
     )

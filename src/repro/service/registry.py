@@ -1,14 +1,12 @@
 """Registered-workload lifecycle and scoped cache invalidation.
 
 The service's whole reason to exist is residency: what-if cache
-entries, compiled workload packs, and warm benefit tables survive
-between requests.  That makes workload *change* the dangerous
-operation — this module owns it.  ``update`` and ``evict`` invalidate
-the shared what-if caches *scoped to the affected queries* (via
-``WhatIfOptimizer.clear_cache(queries)``), so the entries and counters
-of every other registered workload survive untouched; warm benefit
-tables are reset wholesale on any change because their columns are a
-function of the entire workload.
+entries and compiled workload packs survive between requests.  That
+makes workload *change* the dangerous operation — this module owns it.
+``update`` and ``evict`` invalidate the shared what-if caches *scoped
+to the affected queries* (via ``WhatIfOptimizer.clear_cache(queries)``),
+so the entries and counters of every other registered workload survive
+untouched.
 
 Invalidation is content-keyed, like the caches: a query that appears
 verbatim in both the old and new version of a workload keeps its
@@ -21,7 +19,6 @@ import threading
 from dataclasses import dataclass, field
 
 from repro.advisor import KernelStacks
-from repro.core.evaluation import WarmBenefitStore
 from repro.exceptions import ServiceError, UnknownWorkloadError
 from repro.workload.query import Query, Workload
 
@@ -30,32 +27,27 @@ __all__ = ["WorkloadRegistration", "WorkloadRegistry"]
 
 @dataclass
 class WorkloadRegistration:
-    """One resident workload plus its per-kernel warm benefit tables."""
+    """One resident workload and which of its versions were priced."""
 
     name: str
     workload: Workload
     version: int = 1
     served: int = 0
     """Completed recommend requests against this registration."""
-    warm_stores: dict[str, WarmBenefitStore] = field(
-        default_factory=dict
-    )
+    priced: dict[str, int] = field(default_factory=dict)
+    """Cost kernel -> the last workload version a request priced on
+    that kernel's what-if stack (per kernel, like the stacks)."""
 
-    def warm_store(self, kernel: str) -> WarmBenefitStore:
-        """The warm benefit table of one cost-kernel flavour.
+    def is_priced(self, kernel: str, version: int) -> bool:
+        """True when an earlier request priced ``version`` on
+        ``kernel`` — a request at that version is *warm*."""
+        return self.priced.get(kernel) == version
 
-        Per-kernel for the same reason the what-if stacks are: scalar
-        and vectorized costs agree only to 1e-9, and warm columns must
-        be bit-identical to what cold pricing would have produced.
-        """
-        store = self.warm_stores.get(kernel)
-        if store is None:
-            # setdefault: concurrent first requests for one kernel must
-            # agree on a single store object.
-            store = self.warm_stores.setdefault(
-                kernel, WarmBenefitStore()
-            )
-        return store
+    def mark_priced(self, kernel: str, version: int) -> None:
+        """Record that a request priced ``version`` on ``kernel``
+        (never moves the marker back to an older version)."""
+        if self.priced.get(kernel, 0) < version:
+            self.priced[kernel] = version
 
 
 class WorkloadRegistry:
@@ -174,10 +166,6 @@ class WorkloadRegistry:
             invalidated = self._invalidate(stale)
             registration.workload = workload
             registration.version += 1
-            # Replace (not clear) the warm stores: a request admitted
-            # against the old version may still be writing old-workload
-            # columns, which must not leak into the new version's store.
-            registration.warm_stores = {}
             return registration, invalidated
 
     def evict(self, name: str) -> int:

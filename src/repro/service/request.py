@@ -2,11 +2,11 @@
 
 A :class:`RecommendRequest` names a *registered* workload instead of
 carrying one: registration is what lets the service keep compiled
-workload packs, warm benefit tables, and what-if cache entries resident
-between requests.  The :class:`RecommendResponse` carries the selection
-result plus the per-request observability gauges (``service.*``,
-``whatif.*`` deltas, ``evaluation.*``, ``resilience.*``) so callers can
-see queueing, degradation, and warm-table reuse without scraping logs.
+workload packs and what-if cache entries resident between requests.
+The :class:`RecommendResponse` carries the selection result plus the
+per-request observability gauges (``service.*``, ``whatif.*`` deltas,
+``evaluation.*``, ``resilience.*``) so callers can see queueing,
+degradation, and cache reuse without scraping logs.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ class RecommendRequest:
     budget_share / budget_bytes:
         Exactly one of: the Eq. 10 share ``w``, or absolute bytes.
     algorithm:
-        One of the advisor algorithms (``extend`` by default — the
-        service's warm benefit tables accelerate the extend variants).
+        One of the advisor algorithms (``extend`` by default).
     cost_kernel:
         ``"scalar"`` / ``"vectorized"`` / ``None`` (service default).
     deadline_s:
@@ -82,9 +81,9 @@ class RecommendResponse:
     workload_version: int
     status: str
     warm: bool
-    """True when the request ran against already-populated warm benefit
-    tables for its cost kernel (i.e. it was not the first extend-family
-    request since the workload was (re-)registered)."""
+    """True when the request ran against a workload version an earlier
+    request (or the restored snapshot) had already priced on its cost
+    kernel, so its pricing came from the resident what-if cache."""
     wall_seconds: float
     queue_seconds: float
     result: SelectionResult
@@ -121,11 +120,10 @@ class SweepRequest:
     """One multi-budget frontier request against a registered workload.
 
     The sweep is admission-controlled as *one* request (one concurrency
-    slot, one deadline covering all points) and runs through the shared
-    sweep engine of :mod:`repro.core.sweep`: budget shares execute
-    descending over the registration's resident warm benefit store, so
-    a frontier costs roughly one recommendation's worth of backend
-    calls — and a repeat sweep over a warm registration costs none.
+    slot, one deadline covering all points) and runs one Extend run per
+    budget share (:mod:`repro.core.sweep`), in the given order, over the
+    kernel's resident what-if cache — so a repeat sweep over a warm
+    registration costs no backend call.
 
     Parameters
     ----------

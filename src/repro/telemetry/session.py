@@ -88,7 +88,7 @@ class Telemetry:
         """Bridge an
         :class:`~repro.core.evaluation.EvaluationStatistics` into the
         registry as gauges — rounds, evaluations, reuse rate,
-        invalidations, priced/pruned candidates, warm hits."""
+        invalidations, priced/pruned candidates."""
         statistics.publish(self.metrics, prefix=prefix)
 
     def record_kernel(self, statistics, prefix: str = "kernel") -> None:

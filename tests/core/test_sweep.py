@@ -1,11 +1,11 @@
-"""Tests for the multi-budget frontier sweep engine.
+"""Tests for the multi-budget frontier sweep.
 
-Unit coverage for share validation and the sweep result model, plus
-the property suite behind the engine's central guarantee: the shared
-warm-store sweep is *observationally identical* to the naive
-per-budget loop — same step traces, same costs, same configurations —
-for every workload, budget grid, cost kernel, and even under injected
-backend faults.
+Unit coverage for share validation, the budget grid and the sweep
+result model, plus the property suite behind the sweep's central
+guarantee: one loop over a shared what-if facade is *observationally
+identical* to a fresh standalone run per budget — same step traces,
+same costs, same configurations — for every workload, budget grid,
+cost kernel, and even under injected backend faults.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.evaluation import EvaluationConfig, WarmBenefitStore
+from repro.core.evaluation import EvaluationConfig
 from repro.core.extend import ExtendAlgorithm
 from repro.core.sweep import (
     SweepResult,
@@ -57,6 +57,18 @@ def _naive_frontier(workload, shares, source_factory=None):
             workload, relative_budget(workload.schema, share)
         )
     return runs
+
+
+class _Recording(ExtendAlgorithm):
+    """Extend that records the budget of every run it starts."""
+
+    def __init__(self, optimizer, ran):
+        super().__init__(optimizer)
+        self._ran = ran
+
+    def select(self, workload, budget, **kwargs):
+        self._ran.append(budget)
+        return super().select(workload, budget, **kwargs)
 
 
 def _assert_point_equivalent(reference, candidate):
@@ -116,6 +128,35 @@ class TestParseBudgetSweep:
         with pytest.raises(ExperimentError):
             parse_budget_sweep(spec)
 
+    def test_grid_ending_at_one_parses(self):
+        # low + width * (steps - 1) is 1.0000000000000002 here.
+        shares = parse_budget_sweep("0.08:1.0:4")
+        assert shares[0] == 0.08
+        assert shares[-1] == 1.0
+        assert len(shares) == 4
+
+    @given(
+        low=st.integers(min_value=1, max_value=9_999),
+        span=st.integers(min_value=1, max_value=9_999),
+        steps=st.integers(min_value=2, max_value=500),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_valid_spec_parses_and_ends_at_high(
+        self, low, span, steps
+    ):
+        """Any ``0 < low < high <= 1`` (four decimals) and ``steps >=
+        2`` parses to a strictly increasing grid from ``low`` to exactly
+        ``high``."""
+        high = min(low + span, 10_000)
+        spec = f"{low / 10_000}:{high / 10_000}:{steps}"
+        shares = parse_budget_sweep(spec)
+        assert len(shares) == steps
+        assert shares[0] == float(spec.split(":")[0])
+        assert shares[-1] == float(spec.split(":")[1])
+        assert all(
+            before < after for before, after in zip(shares, shares[1:])
+        )
+
 
 class TestSweepSelect:
     def test_matches_naive_per_budget_loop(self, small_workload):
@@ -129,47 +170,60 @@ class TestSweepSelect:
         assert not sweep.partial
         assert sweep.status == "completed"
 
-    def test_executes_descending(self, small_workload):
-        sweep = sweep_select(
-            small_workload, _optimizer(small_workload), SHARES
-        )
-        by_execution = sorted(
-            sweep.points, key=lambda point: point.execution_order
-        )
-        assert [p.budget_share for p in by_execution] == sorted(
-            SHARES, reverse=True
-        )
+    def test_executes_in_caller_order(self, small_workload):
+        descending = tuple(sorted(SHARES, reverse=True))
+        for shares in (SHARES, descending):
+            ran = []
+            sweep_select(
+                small_workload,
+                _optimizer(small_workload),
+                shares,
+                algorithm_factory=lambda optimizer: _Recording(
+                    optimizer, ran
+                ),
+            )
+            assert ran == [
+                relative_budget(small_workload.schema, share)
+                for share in shares
+            ]
 
     def test_first_executed_point_pays_the_pricing(self, small_workload):
         sweep = sweep_select(
             small_workload, _optimizer(small_workload), SHARES
         )
-        first = next(
-            p for p in sweep.points if p.execution_order == 0
-        )
-        assert first.whatif_calls > 0
+        assert sweep.points[0].whatif_calls > 0
         statistics = sweep.statistics
         assert statistics.backend_calls == sum(
             p.whatif_calls for p in sweep.points
         )
-        assert statistics.reprice_count == sum(
-            p.whatif_calls
-            for p in sweep.points
-            if p.execution_order > 0
-        )
         assert statistics.completed_points == len(SHARES)
 
     def test_resident_store_makes_repeat_sweep_free(self, small_workload):
-        store = WarmBenefitStore()
+        """The resident store is the facade's what-if cache: a repeat
+        sweep over the same facade makes no backend call."""
         optimizer = _optimizer(small_workload)
-        sweep_select(
-            small_workload, optimizer, SHARES, warm_store=store
-        )
-        repeat = sweep_select(
-            small_workload, optimizer, SHARES, warm_store=store
-        )
+        first = sweep_select(small_workload, optimizer, SHARES)
+        repeat = sweep_select(small_workload, optimizer, SHARES)
+        assert first.statistics.backend_calls > 0
         assert repeat.statistics.backend_calls == 0
-        assert repeat.statistics.reuse_rate == 1.0
+        assert all(point.whatif_calls == 0 for point in repeat.points)
+        for before, after in zip(first.points, repeat.points):
+            _assert_point_equivalent(before.result, after.result)
+
+    def test_reuses_one_facade_across_points(self, small_workload):
+        """The sweep makes exactly the backend calls of the same
+        per-share runs over one facade, in any share order."""
+        optimizer = _optimizer(small_workload)
+        for share in SHARES:
+            ExtendAlgorithm(optimizer).select(
+                small_workload,
+                relative_budget(small_workload.schema, share),
+            )
+        for shares in (SHARES, tuple(reversed(SHARES))):
+            sweep = sweep_select(
+                small_workload, _optimizer(small_workload), shares
+            )
+            assert sweep.statistics.backend_calls == optimizer.calls
 
     def test_allows_zero_share_for_figure_grids(self, small_workload):
         sweep = sweep_select(
@@ -228,8 +282,8 @@ class TestSweepSelect:
         )
         assert sweep.partial
         assert len(sweep.points) == 1
-        assert sweep.points[0].budget_share == max(SHARES)
-        assert sorted(sweep.skipped_shares) == sorted(SHARES)[:-1]
+        assert sweep.points[0].budget_share == SHARES[0]
+        assert sweep.skipped_shares == SHARES[1:]
         assert any("RuntimeError" in note for note in sweep.notes)
 
     def test_first_point_failure_raises_even_on_partial(
@@ -298,7 +352,7 @@ class TestSweepSelect:
                 point.budget_share
             ),
         )
-        assert seen == sorted(SHARES, reverse=True)
+        assert seen == list(SHARES)
 
 
 class TestSweepResultModel:
@@ -312,28 +366,11 @@ class TestSweepResultModel:
         assert sweep.point_for(0.77) is None
         assert len(sweep.results) == len(SHARES)
 
-    def test_statistics_reuse_rate_empty(self):
-        assert SweepStatistics().reuse_rate == 0.0
-
     def test_partial_result_is_degraded(self):
         result = SweepResult(
             points=(), statistics=SweepStatistics(), partial=True
         )
         assert result.status == "degraded"
-
-
-class TestWithWarmStore:
-    def test_clone_rebinds_store_and_leaves_original(
-        self, small_workload
-    ):
-        optimizer = _optimizer(small_workload)
-        algorithm = ExtendAlgorithm(optimizer)
-        store = WarmBenefitStore()
-        clone = algorithm.with_warm_store(store)
-        assert clone is not algorithm
-        assert clone._warm_store is store
-        assert algorithm._warm_store is None
-        assert clone.last_evaluation_statistics is None
 
 
 def _grids():
@@ -346,7 +383,8 @@ def _grids():
 
 
 class TestSweepEquivalenceProperties:
-    """Shared engine == naive per-budget loop, for every input."""
+    """One loop over a shared facade == a fresh run per budget, for
+    every input."""
 
     @given(workload=random_workloads(), shares=_grids())
     @settings(max_examples=60, deadline=None)

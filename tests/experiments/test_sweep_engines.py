@@ -1,8 +1,8 @@
-"""Engine coverage for the experiment budget sweeps.
+"""Coverage of the experiment budget sweeps.
 
-``sweep_extend`` must produce the same series through the shared
-multi-budget engine as through the historical naive per-budget loop
-(the engine is a pure performance knob).
+``sweep_extend`` runs Extend once per share over one shared what-if
+facade; its series must equal a naive loop of fresh standalone runs
+(the shared facade only saves backend calls).
 """
 
 from __future__ import annotations
@@ -19,73 +19,52 @@ from repro.experiments.common import (
 SHARES = (0.1, 0.3, 0.6)
 
 
+def _standalone(workload, share):
+    """One share on a fresh facade (the naive per-budget loop)."""
+    return sweep_extend(workload, analytic_optimizer(workload), (share,))
+
+
 class TestSweepExtendEngines:
     def test_shared_matches_naive_engine(self, small_workload):
         shared = sweep_extend(
             small_workload,
             analytic_optimizer(small_workload),
             SHARES,
-            engine="shared",
         )
-        naive = sweep_extend(
-            small_workload,
-            analytic_optimizer(small_workload),
-            SHARES,
-            engine="naive",
-        )
-        assert shared.points == naive.points
-        assert len(shared.runtimes) == len(naive.runtimes)
+        naive = [
+            point
+            for share in SHARES
+            for point in _standalone(small_workload, share).points
+        ]
+        assert shared.points == naive
+        assert len(shared.runtimes) == len(SHARES)
 
     def test_shared_engine_saves_backend_calls(self, small_workload):
-        """Both engines share one facade cache when handed the same
-        optimizer, so their totals tie; the genuine savings show
-        against fresh standalone per-budget runs."""
+        """One facade across the points prices each pair once; fresh
+        standalone per-budget runs re-price the pairs they share."""
         shared = sweep_extend(
             small_workload,
             analytic_optimizer(small_workload),
             SHARES,
-            engine="shared",
         )
-        standalone_calls = 0
-        for share in SHARES:
-            series = sweep_extend(
-                small_workload,
-                analytic_optimizer(small_workload),
-                (share,),
-                engine="naive",
-            )
-            standalone_calls += series.whatif_calls
+        standalone_calls = sum(
+            _standalone(small_workload, share).whatif_calls
+            for share in SHARES
+        )
         assert shared.whatif_calls < standalone_calls
 
-    @pytest.mark.parametrize("engine", ["shared", "naive"])
-    def test_per_point_call_deltas_recorded(
-        self, small_workload, engine
-    ):
+    def test_per_point_call_deltas_recorded(self, small_workload):
         series = sweep_extend(
             small_workload,
             analytic_optimizer(small_workload),
             SHARES,
-            engine=engine,
         )
         assert len(series.point_whatif_calls) == len(SHARES)
         assert (
             sum(series.point_whatif_calls) == series.whatif_calls
         )
-        if engine == "shared":
-            # Execution is descending: the largest share (last in the
-            # input order) pays the pricing, the rest run nearly free.
-            assert series.point_whatif_calls[-1] == max(
-                series.point_whatif_calls
-            )
-
-    def test_rejects_unknown_engine(self, small_workload):
-        with pytest.raises(ExperimentError, match="engine"):
-            sweep_extend(
-                small_workload,
-                analytic_optimizer(small_workload),
-                SHARES,
-                engine="turbo",
-            )
+        # The first share runs on a cold facade and pays its pricing.
+        assert series.point_whatif_calls[0] > 0
 
 
 class TestBudgetGridValidation:
@@ -93,6 +72,18 @@ class TestBudgetGridValidation:
         grid = budget_grid(0.0, 1.0, 5)
         assert grid[0] == 0.0
         assert grid[-1] == 1.0
+
+    @pytest.mark.parametrize(
+        ("low", "high", "steps"), [(0.0, 0.4, 9), (0.08, 1.0, 4)]
+    )
+    def test_keeps_linear_interior_and_ends_at_high(self, low, high, steps):
+        """Interior points stay ``low + width * step`` (figure grids do
+        not move); the last is ``high`` itself, which that formula
+        overshoots to 1.0000000000000002 for the second grid."""
+        width = (high - low) / (steps - 1)
+        grid = budget_grid(low, high, steps)
+        assert grid[:-1] == [low + width * step for step in range(steps - 1)]
+        assert grid[-1] == high
 
     @pytest.mark.parametrize(
         "low, high",

@@ -25,32 +25,19 @@ def snapshot_dir(tmp_path):
     return tmp_path / "snapshots"
 
 
-def _warm_entries(service, name: str):
-    return {
-        kernel: store.entries()
-        for kernel, store in service.registry.get(
-            name
-        ).warm_stores.items()
-    }
-
-
-def _entries_identical(left, right) -> bool:
-    if left.keys() != right.keys():
-        return False
-    for kernel in left:
-        rows_l, rows_r = left[kernel], right[kernel]
-        if len(rows_l) != len(rows_r):
-            return False
-        for (key_l, pos_l, cost_l), (key_r, pos_r, cost_r) in zip(
-            rows_l, rows_r
-        ):
-            if key_l != key_r:
-                return False
-            if pos_l.tolist() != pos_r.tolist():
-                return False
-            if cost_l.tobytes() != cost_r.tobytes():
-                return False
-    return True
+def _cache_entries(service, name: str) -> str:
+    """The what-if cache entries of one registration, per built kernel,
+    as canonical JSON (``json`` writes floats by ``repr``, so equal
+    strings mean bit-identical costs)."""
+    queries = tuple(service.registry.get(name).workload)
+    stacks = service.kernel_stacks
+    return json.dumps(
+        {
+            kernel: stacks.stack(kernel)[1].export_cache(queries)
+            for kernel in sorted(stacks.built_kernels())
+        },
+        sort_keys=True,
+    )
 
 
 class TestSnapshotRoundTrip:
@@ -64,7 +51,7 @@ class TestSnapshotRoundTrip:
             cold = seeder.recommend(
                 RecommendRequest(workload="w", budget_share=0.3)
             )
-            baseline = _warm_entries(seeder, "w")
+            baseline = _cache_entries(seeder, "w")
         # close() drained, which wrote the final snapshot.
         assert durability.snapshot_path(snapshot_dir).exists()
 
@@ -74,11 +61,9 @@ class TestSnapshotRoundTrip:
             report = restarted.restore_report
             assert report is not None and report.restored
             assert report.workloads == 1
-            assert report.warm_columns > 0
+            assert report.whatif_entries > 0
             assert restarted.workloads() == ("w",)
-            assert _entries_identical(
-                baseline, _warm_entries(restarted, "w")
-            )
+            assert _cache_entries(restarted, "w") == baseline
             warm = restarted.recommend(
                 RecommendRequest(workload="w", budget_share=0.3)
             )
@@ -194,6 +179,24 @@ class TestCorruptionHandling:
             )
             assert response.status == "completed"
             assert not response.warm
+
+    def test_version_one_snapshot_cold_starts(
+        self, small_workload, snapshot_dir
+    ):
+        """A snapshot of the format that also carried per-registration
+        warm cost columns is discarded as version skew."""
+        path = self._seed(small_workload, snapshot_dir)
+        envelope = json.loads(path.read_text())
+        assert envelope["version"] == durability.SNAPSHOT_VERSION == 2
+        envelope["version"] = 1
+        path.write_text(json.dumps(envelope))
+        with AdvisorService(
+            small_workload.schema, snapshot_dir=snapshot_dir
+        ) as victim:
+            report = victim.restore_report
+            assert report is not None and report.corrupt
+            assert report.reason == "version-skew"
+            assert victim.workloads() == ()
 
     def test_version_skew_cold_starts(
         self, small_workload, snapshot_dir

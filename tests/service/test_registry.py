@@ -99,16 +99,23 @@ class TestScopedInvalidation:
             optimizer.sequential_cost(query)
         assert table.evict("w") == len(tiny_workload)
 
-    def test_update_replaces_warm_stores(self, registry, tiny_workload):
+    def test_update_starts_an_unpriced_version(
+        self, registry, tiny_workload
+    ):
         table, _ = registry
         registration = table.register("w", tiny_workload)
-        store = registration.warm_store("vectorized")
+        registration.mark_priced("vectorized", 1)
+        assert registration.is_priced("vectorized", 1)
+        assert not registration.is_priced("scalar", 1)
         updated, _ = table.update("w", tiny_workload)
         assert updated is registration
         assert updated.version == 2
-        # A new store object: in-flight writers against the old version
-        # cannot leak stale columns into the new one.
-        assert registration.warm_store("vectorized") is not store
+        assert not registration.is_priced("vectorized", 2)
+        # A request admitted against version 1 that finishes late must
+        # not move the marker back.
+        registration.mark_priced("vectorized", 2)
+        registration.mark_priced("vectorized", 1)
+        assert registration.is_priced("vectorized", 2)
 
     def test_update_keeps_other_workloads_cached(
         self, registry, tiny_workload

@@ -1,9 +1,9 @@
 """Tests for the service-side multi-budget frontier sweep.
 
-One ``sweep`` request answers a whole budget grid through the shared
-sweep engine, admission-controlled as a single request, running over
-the registration's resident warm benefit store — which is what makes
-a repeat sweep over a warm registration cost **zero** backend calls.
+One ``sweep`` request answers a whole budget grid with one Extend run
+per share, admission-controlled as a single request, pricing through
+the kernel's resident what-if cache — which is what makes a repeat
+sweep over a warm registration cost **zero** backend calls.
 """
 
 from __future__ import annotations
@@ -105,8 +105,6 @@ class TestServiceSweep:
         )
         assert repeat.warm
         assert repeat.gauges["sweep.backend_calls"] == 0
-        assert repeat.gauges["sweep.reprice_count"] == 0
-        assert repeat.gauges["sweep.reuse_rate"] == 1.0
         for share in SHARES:
             assert repeat.indexes[share] == first.indexes[share]
             assert (
@@ -115,8 +113,8 @@ class TestServiceSweep:
             )
 
     def test_recommend_warms_subsequent_sweep(self, service):
-        """A prior recommend at the largest share pre-prices most of
-        the sweep; the sweep's first point then runs mostly warm."""
+        """A prior recommend at the largest share prices every pair the
+        smaller shares need; the sweep then makes no backend call."""
         service.recommend(
             RecommendRequest(workload="w", budget_share=max(SHARES))
         )
@@ -138,13 +136,10 @@ class TestServiceSweep:
             if event.get("type") == "sweep_point"
         ]
         assert len(point_events) == len(SHARES)
-        # Execution order is descending; events carry it explicitly.
+        # Points run, and stream, in the request's share order.
         assert [
             event["budget_share"] for event in point_events
-        ] == sorted(SHARES, reverse=True)
-        assert [
-            event["execution_order"] for event in point_events
-        ] == [0, 1, 2]
+        ] == list(SHARES)
         assert any(
             event.get("type") == "step" for event in events
         )
@@ -255,6 +250,26 @@ class TestSweepProtocol:
         )
         assert final["ok"]
         assert len(final["points"]) == 3
+
+    def test_sweep_op_accepts_grid_ending_at_one(self, small_workload):
+        responses = self._serve(
+            small_workload,
+            [
+                {
+                    "id": 1,
+                    "op": "sweep",
+                    "workload": "w",
+                    "budget_sweep": "0.08:1.0:4",
+                },
+                {"op": "shutdown"},
+            ],
+        )
+        final = responses[0]
+        assert final["ok"], final
+        assert [point["budget_share"] for point in final["points"]][
+            -1
+        ] == 1.0
+        assert len(final["points"]) == 4
 
     @pytest.mark.parametrize(
         "message",

@@ -13,6 +13,8 @@ import pytest
 
 from repro.advisor import IndexAdvisor
 from repro.core.extend import ExtendAlgorithm
+from repro.cost.model import CostModel
+from repro.cost.whatif import AnalyticalCostSource, WhatIfOptimizer
 from repro.indexes.memory import relative_budget
 from repro.telemetry import (
     NULL_TELEMETRY,
@@ -21,6 +23,7 @@ from repro.telemetry import (
     Telemetry,
 )
 from repro.telemetry.sinks import read_jsonl
+from repro.workload.generator import GeneratorConfig, generate_workload
 
 
 @pytest.fixture
@@ -146,6 +149,53 @@ class TestDisabledTelemetry:
         assert [
             (step.kind, step.index_after) for step in plain.steps
         ] == [(step.kind, step.index_after) for step in traced.steps]
+
+    @pytest.mark.parametrize(
+        ("shape", "seed", "prices_rivals"),
+        [((2, 6, 6), 7, True), ((3, 10, 15), 11, False)],
+    )
+    def test_tracing_adds_no_pricing(self, shape, seed, prices_rivals):
+        """Enabled telemetry logs rejected rivals from the moves each
+        step already priced: on fresh facades the traced run makes the
+        same what-if calls, hits and steps as the untraced one.  A run
+        whose steps price rivals besides their winners still logs
+        them as rejected events."""
+        tables, attributes, queries = shape
+        workload = generate_workload(
+            GeneratorConfig(
+                tables=tables,
+                attributes_per_table=attributes,
+                queries_per_table=queries,
+                seed=seed,
+            )
+        )
+        budget = relative_budget(workload.schema, 0.2)
+        runs = {}
+        for name, telemetry in (
+            ("plain", NULL_TELEMETRY),
+            ("traced", Telemetry()),
+        ):
+            optimizer = WhatIfOptimizer(
+                AnalyticalCostSource(CostModel(workload.schema))
+            )
+            result = ExtendAlgorithm(
+                optimizer, telemetry=telemetry
+            ).select(workload, budget)
+            runs[name] = (result, optimizer.statistics, telemetry)
+        plain, plain_statistics, _ = runs["plain"]
+        traced, traced_statistics, telemetry = runs["traced"]
+        assert traced.step_trace() == plain.step_trace()
+        assert traced.total_cost == plain.total_cost
+        assert traced_statistics == plain_statistics
+        assert len(traced.steps) > 1
+        rejected = [
+            event for event in telemetry.events if not event.chosen
+        ]
+        assert {event.step_number for event in rejected} <= {
+            step.step_number for step in traced.steps
+        }
+        if prices_rivals:
+            assert rejected
 
     def test_null_telemetry_is_shared_and_inert(self):
         assert NULL_TELEMETRY.enabled is False

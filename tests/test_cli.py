@@ -387,9 +387,7 @@ class TestBudgetSweep:
         exit_code = main(self._BASE + ["--budget-sweep", "0.1:0.5:3"])
         assert exit_code == 0
         output = capsys.readouterr().out
-        assert "budget sweep w=0.1..0.5 (3 points, shared engine)" in (
-            output
-        )
+        assert "budget sweep w=0.1..0.5 (3 points)" in output
         assert "Backend what-if calls:" in output
         assert "Cost without indexes:" in output
         # One frontier row per share, in the caller's order.
@@ -403,7 +401,15 @@ class TestBudgetSweep:
         assert exit_code == 0
         output = capsys.readouterr().out
         assert "sweep.backend_calls" in output
-        assert "sweep.reuse_rate" in output
+        assert "sweep.completed_points" in output
+
+    def test_grid_ending_at_one_is_accepted(self, capsys):
+        # 0.08 + width * 3 is 1.0000000000000002; the grid must end at
+        # 1.0 itself, not be rejected as a share above 1.
+        exit_code = main(self._BASE + ["--budget-sweep", "0.08:1.0:4"])
+        assert exit_code == 0
+        output = capsys.readouterr().out
+        assert "budget sweep w=0.08..1 (4 points)" in output
 
     def test_zero_deadline_prints_partial_note(self, capsys):
         exit_code = main(
