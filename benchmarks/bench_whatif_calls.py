@@ -23,10 +23,12 @@ def test_whatif_call_accounting(benchmark):
         run, args=(_CONFIG,), rounds=1, iterations=1
     )
     for row in rows:
-        # H6's call count stays near 2·Q·q̄ (within small constants).
-        assert row.h6_calls <= 4 * row.h6_predicted
-    # Calls grow roughly linearly in Q for H6.
-    ratio = rows[1].h6_calls / rows[0].h6_calls
+        # The paper's 2·Q·q̄ estimate describes the naive engine, which
+        # prices every candidate; the lazy default prices fewer.
+        assert row.h6_predicted <= row.naive_calls <= 2 * row.h6_predicted
+        assert row.h6_calls <= row.naive_calls
+    # The naive count grows roughly linearly in Q; the lazy one need not.
+    ratio = rows[1].naive_calls / rows[0].naive_calls
     assert 1.2 <= ratio <= 3.5
 
 

@@ -41,6 +41,7 @@ from repro.cost.whatif import (
     AnalyticalCostSource,
     CostSource,
     WhatIfOptimizer,
+    WhatIfStatistics,
 )
 from repro.exceptions import (
     BudgetError,
@@ -69,6 +70,7 @@ from repro.resilience import (
 )
 from repro.telemetry import (
     NULL_TELEMETRY,
+    MetricsRegistry,
     Telemetry,
     TelemetrySnapshot,
 )
@@ -83,6 +85,8 @@ __all__ = [
     "IndexAdvisor",
     "KernelStacks",
     "Recommendation",
+    "check_algorithm",
+    "check_cost_kernel",
     "coerce_budget",
     "run_selection",
 ]
@@ -101,9 +105,25 @@ ALGORITHMS = (
 
 COST_KERNELS = ("scalar", "vectorized")
 
-# Backwards-compatible aliases (pre-service private names).
-_ALGORITHMS = ALGORITHMS
-_COST_KERNELS = COST_KERNELS
+
+def check_algorithm(algorithm: str) -> None:
+    """Reject an algorithm name outside :data:`ALGORITHMS`, before any
+    work is done."""
+    if algorithm not in ALGORITHMS:
+        raise ExperimentError(
+            f"unknown algorithm {algorithm!r}; pick one of "
+            f"{', '.join(ALGORITHMS)}"
+        )
+
+
+def check_cost_kernel(kernel: str) -> None:
+    """Reject a cost-kernel name outside :data:`COST_KERNELS`, before
+    any stack is built."""
+    if kernel not in COST_KERNELS:
+        raise ExperimentError(
+            f"unknown cost kernel {kernel!r}; pick one of "
+            f"{', '.join(COST_KERNELS)}"
+        )
 
 
 def coerce_budget(
@@ -187,11 +207,7 @@ class KernelStacks:
         self, kernel: str
     ) -> tuple[ResilientCostSource, WhatIfOptimizer]:
         """The resilient source and caching facade of one flavour."""
-        if kernel not in COST_KERNELS:
-            raise ExperimentError(
-                f"unknown cost kernel {kernel!r}; pick one of "
-                f"{', '.join(COST_KERNELS)}"
-            )
+        check_cost_kernel(kernel)
         stack = self._stacks.get(kernel)
         if stack is None:
             analytical = self.analytic(kernel)
@@ -229,6 +245,24 @@ class KernelStacks:
         source = self._analytic.get("vectorized")
         return None if source is None else source.statistics
 
+    def publish(
+        self,
+        registry: MetricsRegistry,
+        kernel: str,
+        whatif: WhatIfStatistics,
+    ) -> None:
+        """Bridge one kernel's cost stack into ``registry`` as gauges:
+        ``whatif`` (the facade's statistics, or a delta of them) as
+        ``whatif.*``, the resilient source's counters as
+        ``resilience.*`` and, once the compiled kernel is built, its
+        counters as ``kernel.*``."""
+        resilient, _ = self.stack(kernel)
+        registry.publish("whatif", whatif)
+        registry.publish("resilience", resilient.statistics)
+        statistics = self.vectorized_statistics()
+        if statistics is not None:
+            registry.publish("kernel", statistics)
+
 
 def run_selection(
     workload: Workload,
@@ -250,11 +284,7 @@ def run_selection(
     degrade-to-Extend fallback, and the H1–H5 heuristics, all under one
     ``deadline`` against one what-if facade.
     """
-    if algorithm not in ALGORITHMS:
-        raise ExperimentError(
-            f"unknown algorithm {algorithm!r}; pick one of "
-            f"{', '.join(ALGORITHMS)}"
-        )
+    check_algorithm(algorithm)
     deadline = deadline or Deadline.none()
     evaluation = evaluation or EvaluationConfig()
     if algorithm in ("extend", "extend+swap"):
@@ -431,11 +461,7 @@ class IndexAdvisor:
         resilience: ResiliencePolicy | None = None,
         cost_kernel: str = "vectorized",
     ) -> None:
-        if cost_kernel not in _COST_KERNELS:
-            raise ExperimentError(
-                f"unknown cost kernel {cost_kernel!r}; pick one of "
-                f"{', '.join(_COST_KERNELS)}"
-            )
+        check_cost_kernel(cost_kernel)
         self._schema = schema
         self._default_kernel = cost_kernel
         self._kernel_stacks = KernelStacks(
@@ -566,19 +592,11 @@ class IndexAdvisor:
             (and step-trace stability) for selection time on very
             large workloads.
         """
-        if algorithm not in _ALGORITHMS:
-            raise ExperimentError(
-                f"unknown algorithm {algorithm!r}; pick one of "
-                f"{', '.join(_ALGORITHMS)}"
-            )
+        check_algorithm(algorithm)
         kernel = (
             cost_kernel if cost_kernel is not None else self._default_kernel
         )
-        if kernel not in _COST_KERNELS:
-            raise ExperimentError(
-                f"unknown cost kernel {kernel!r}; pick one of "
-                f"{', '.join(_COST_KERNELS)}"
-            )
+        check_cost_kernel(kernel)
         check_candidate_width(candidate_width)
         if hot_spot_count < 0:
             raise ExperimentError(
@@ -586,7 +604,7 @@ class IndexAdvisor:
             )
         resolved = self._coerce_workload(workload)
         budget = self._coerce_budget(budget_share, budget_bytes)
-        resilient, optimizer = self._kernel_stacks.stack(kernel)
+        _, optimizer = self._kernel_stacks.stack(kernel)
         if resilience is not None:
             self._kernel_stacks.set_policy(resilience)
         if merge_duplicates or compression_share is not None:
@@ -624,13 +642,9 @@ class IndexAdvisor:
                     whatif_statistics=run_statistics,
                 )
         if telemetry.enabled:
-            telemetry.record_whatif(optimizer.statistics)
-            telemetry.record_resilience(resilient.statistics)
-            kernel_statistics = (
-                self._kernel_stacks.vectorized_statistics()
+            self._kernel_stacks.publish(
+                telemetry.metrics, kernel, optimizer.statistics
             )
-            if kernel_statistics is not None:
-                telemetry.record_kernel(kernel_statistics)
         return Recommendation(
             workload=resolved,
             result=result,
@@ -672,13 +686,9 @@ class IndexAdvisor:
         kernel = (
             cost_kernel if cost_kernel is not None else self._default_kernel
         )
-        if kernel not in _COST_KERNELS:
-            raise ExperimentError(
-                f"unknown cost kernel {kernel!r}; pick one of "
-                f"{', '.join(_COST_KERNELS)}"
-            )
+        check_cost_kernel(kernel)
         resolved = self._coerce_workload(workload)
-        resilient, optimizer = self._kernel_stacks.stack(kernel)
+        _, optimizer = self._kernel_stacks.stack(kernel)
         telemetry = self._telemetry
         with telemetry.tracer.span(
             "advisor.recommend_sweep", points=len(shares)
@@ -691,13 +701,9 @@ class IndexAdvisor:
                 deadline=Deadline(deadline_s),
             )
         if telemetry.enabled:
-            telemetry.record_whatif(optimizer.statistics)
-            telemetry.record_resilience(resilient.statistics)
-            kernel_statistics = (
-                self._kernel_stacks.vectorized_statistics()
+            self._kernel_stacks.publish(
+                telemetry.metrics, kernel, optimizer.statistics
             )
-            if kernel_statistics is not None:
-                telemetry.record_kernel(kernel_statistics)
         return SweepRecommendation(
             workload=resolved,
             sweep=sweep,

@@ -281,6 +281,33 @@ def _telemetry_from_arguments(arguments: argparse.Namespace):
     return Telemetry(sinks=sinks)
 
 
+def _finish_telemetry(
+    arguments: argparse.Namespace,
+    telemetry: Telemetry,
+    optimizer: WhatIfOptimizer,
+    resilient: ResilientCostSource,
+    injector: FaultInjectingCostSource | None,
+    kernel: VectorizedCostSource | None,
+) -> None:
+    """The advise telemetry tail: publish the cost stack's statistics,
+    print ``--metrics``, and close the session (writing ``--trace``)."""
+    if not telemetry.enabled:
+        return
+    metrics = telemetry.metrics
+    metrics.publish("whatif", optimizer.statistics)
+    metrics.publish("resilience", resilient.statistics)
+    if kernel is not None:
+        metrics.publish("kernel", kernel.statistics)
+    if injector is not None:
+        metrics.publish("faults", injector.statistics)
+    if arguments.metrics:
+        print("\nTelemetry metrics:")
+        print(render_metrics_table(metrics.snapshot()))
+    telemetry.close()
+    if arguments.trace:
+        print(f"\nTrace written to {arguments.trace}")
+
+
 def _advise_sweep(
     arguments: argparse.Namespace,
     workload: Workload,
@@ -350,19 +377,9 @@ def _advise_sweep(
             f"{resilience_stats.fallback_calls:,} fallback calls, "
             f"breaker {resilience_stats.breaker_state.name.lower()}"
         )
-    if telemetry.enabled:
-        optimizer.statistics.publish(telemetry.metrics)
-        resilient.statistics.publish(telemetry.metrics)
-        if kernel is not None:
-            kernel.statistics.publish(telemetry.metrics)
-        if injector is not None:
-            injector.statistics.publish(telemetry.metrics)
-        if arguments.metrics:
-            print("\nTelemetry metrics:")
-            print(render_metrics_table(telemetry.metrics.snapshot()))
-        telemetry.close()
-        if arguments.trace:
-            print(f"\nTrace written to {arguments.trace}")
+    _finish_telemetry(
+        arguments, telemetry, optimizer, resilient, injector, kernel
+    )
     return 0
 
 
@@ -436,19 +453,9 @@ def _advise(arguments: argparse.Namespace) -> int:
     if result.steps and arguments.steps:
         print("\nConstruction trace:")
         print(format_steps(result.steps, workload.schema))
-    if telemetry.enabled:
-        statistics.publish(telemetry.metrics)
-        resilient.statistics.publish(telemetry.metrics)
-        if kernel is not None:
-            kernel.statistics.publish(telemetry.metrics)
-        if injector is not None:
-            injector.statistics.publish(telemetry.metrics)
-        if arguments.metrics:
-            print("\nTelemetry metrics:")
-            print(render_metrics_table(telemetry.metrics.snapshot()))
-        telemetry.close()
-        if arguments.trace:
-            print(f"\nTrace written to {arguments.trace}")
+    _finish_telemetry(
+        arguments, telemetry, optimizer, resilient, injector, kernel
+    )
     return 0
 
 

@@ -157,7 +157,7 @@ class CoPhyAlgorithm:
             telemetry.metrics.counter(
                 "cophy.whatif_calls"
             ).increment(whatif_calls)
-            telemetry.record_whatif(self._optimizer.statistics)
+            telemetry.metrics.publish("whatif", self._optimizer.statistics)
 
         selected = problem.selection_from(solution)
         configuration = IndexConfiguration(selected)

@@ -99,26 +99,6 @@ class EvaluationStatistics:
         total = self.evaluations + self.reused
         return self.reused / total if total else 0.0
 
-    def publish(self, registry, prefix: str = "evaluation") -> None:
-        """Bridge the counters into a telemetry
-        :class:`~repro.telemetry.metrics.MetricsRegistry` as gauges
-        (``evaluation.rounds``, ``evaluation.evaluations``,
-        ``evaluation.reused``, ``evaluation.reuse_rate``,
-        ``evaluation.invalidations``, ``evaluation.priced_candidates``,
-        ``evaluation.pruned_candidates``).
-        """
-        registry.gauge(f"{prefix}.rounds").set(self.rounds)
-        registry.gauge(f"{prefix}.evaluations").set(self.evaluations)
-        registry.gauge(f"{prefix}.reused").set(self.reused)
-        registry.gauge(f"{prefix}.reuse_rate").set(self.reuse_rate)
-        registry.gauge(f"{prefix}.invalidations").set(self.invalidations)
-        registry.gauge(f"{prefix}.priced_candidates").set(
-            self.priced_candidates
-        )
-        registry.gauge(f"{prefix}.pruned_candidates").set(
-            self.pruned_candidates
-        )
-
 
 class CandidateMove:
     """A potential construction step with lazily fetched what-if costs.

@@ -319,8 +319,10 @@ class ExtendAlgorithm:
                 telemetry.metrics.counter(
                     "extend.whatif_calls"
                 ).increment(statistics.calls - calls_before)
-                telemetry.record_whatif(statistics)
-                telemetry.record_evaluation(state.evaluation_statistics)
+                telemetry.metrics.publish("whatif", statistics)
+                telemetry.metrics.publish(
+                    "evaluation", state.evaluation_statistics
+                )
         return ExtendResult(
             algorithm=self.name,
             configuration=configuration,

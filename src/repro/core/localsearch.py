@@ -439,7 +439,7 @@ def swap_local_search(
             run_span.annotate("swaps", swaps)
             run_span.annotate("status", status)
             telemetry.metrics.counter("localsearch.swaps").increment(swaps)
-            telemetry.record_whatif(statistics)
+            telemetry.metrics.publish("whatif", statistics)
     finally:
         run_context.__exit__(None, None, None)
 

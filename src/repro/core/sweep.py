@@ -186,19 +186,6 @@ class SweepStatistics:
     """Backend what-if calls across the whole sweep."""
     partial: bool = False
 
-    def publish(self, registry, prefix: str = "sweep") -> None:
-        """Bridge the counters into a telemetry registry as gauges."""
-        registry.gauge(f"{prefix}.points").set(self.points)
-        registry.gauge(f"{prefix}.completed_points").set(
-            self.completed_points
-        )
-        registry.gauge(f"{prefix}.backend_calls").set(
-            self.backend_calls
-        )
-        registry.gauge(f"{prefix}.partial").set(
-            1 if self.partial else 0
-        )
-
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -384,7 +371,7 @@ def sweep_select(
                 "completed", statistics.completed_points
             )
             sweep_span.annotate("partial", partial)
-            statistics.publish(telemetry.metrics)
+            telemetry.metrics.publish("sweep", statistics)
     return SweepResult(
         points=tuple(answered),
         statistics=statistics,

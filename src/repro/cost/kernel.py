@@ -82,29 +82,6 @@ class KernelStatistics:
             return 0.0
         return self.batch_pairs / self.batch_calls
 
-    def publish(self, registry, prefix: str = "kernel") -> None:
-        """Bridge the counters into a telemetry
-        :class:`~repro.telemetry.metrics.MetricsRegistry` as gauges
-        (``kernel.compiled_workloads``, ``kernel.compiled_queries``,
-        ``kernel.compile_seconds``, ``kernel.batch_calls``,
-        ``kernel.batch_pairs``, ``kernel.mean_batch_size``,
-        ``kernel.scalar_calls``)."""
-        registry.gauge(f"{prefix}.compiled_workloads").set(
-            self.compiled_workloads
-        )
-        registry.gauge(f"{prefix}.compiled_queries").set(
-            self.compiled_queries
-        )
-        registry.gauge(f"{prefix}.compile_seconds").set(
-            self.compile_seconds
-        )
-        registry.gauge(f"{prefix}.batch_calls").set(self.batch_calls)
-        registry.gauge(f"{prefix}.batch_pairs").set(self.batch_pairs)
-        registry.gauge(f"{prefix}.mean_batch_size").set(
-            self.mean_batch_size
-        )
-        registry.gauge(f"{prefix}.scalar_calls").set(self.scalar_calls)
-
 
 @dataclass(frozen=True)
 class CompiledWorkload:

@@ -132,16 +132,6 @@ class WhatIfStatistics:
             evictions=self.evictions - earlier.evictions,
         )
 
-    def publish(self, registry, prefix: str = "whatif") -> None:
-        """Bridge the counters into a telemetry
-        :class:`~repro.telemetry.metrics.MetricsRegistry` as gauges
-        (``<prefix>.calls``, ``<prefix>.cache_hits``,
-        ``<prefix>.hit_rate``, ``<prefix>.evictions``)."""
-        registry.gauge(f"{prefix}.calls").set(self.calls)
-        registry.gauge(f"{prefix}.cache_hits").set(self.cache_hits)
-        registry.gauge(f"{prefix}.hit_rate").set(self.hit_rate)
-        registry.gauge(f"{prefix}.evictions").set(self.evictions)
-
 
 def _encode_index_key(tail):
     """Index part of a cache key → JSON-safe nested lists.

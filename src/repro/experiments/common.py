@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from repro.advisor import check_cost_kernel
 from repro.cophy.solver import CoPhyAlgorithm
 from repro.core.extend import ExtendAlgorithm
 from repro.core.frontier import Frontier, FrontierPoint
@@ -19,7 +20,7 @@ from repro.core.sweep import budget_grid, sweep_select
 from repro.cost.kernel import VectorizedCostSource
 from repro.cost.model import CostModel
 from repro.cost.whatif import AnalyticalCostSource, WhatIfOptimizer
-from repro.exceptions import ExperimentError, SolverTimeoutError
+from repro.exceptions import SolverTimeoutError
 from repro.indexes.index import Index
 from repro.indexes.memory import relative_budget
 from repro.telemetry import Telemetry
@@ -84,14 +85,11 @@ def analytic_optimizer(
     1e-9 relative tolerance on every pair; the experiment sweeps (and
     the golden step traces) are invariant to the choice.
     """
+    check_cost_kernel(kernel)
     if kernel == "vectorized":
         return WhatIfOptimizer(VectorizedCostSource(workload.schema))
-    if kernel == "scalar":
-        return WhatIfOptimizer(
-            AnalyticalCostSource(CostModel(workload.schema))
-        )
-    raise ExperimentError(
-        f"unknown cost kernel {kernel!r}; pick 'scalar' or 'vectorized'"
+    return WhatIfOptimizer(
+        AnalyticalCostSource(CostModel(workload.schema))
     )
 
 

@@ -122,7 +122,9 @@ class RankingHeuristic(abc.ABC):
                 telemetry.metrics.counter(
                     f"heuristic.{self.name}.selected"
                 ).increment(len(chosen))
-                telemetry.record_whatif(self._optimizer.statistics)
+                telemetry.metrics.publish(
+                    "whatif", self._optimizer.statistics
+                )
         return SelectionResult(
             algorithm=self.name,
             configuration=configuration,

@@ -79,17 +79,6 @@ class FaultStatistics:
     injected_failures: int = 0
     injected_latency_spikes: int = 0
 
-    def publish(self, registry, prefix: str = "faults") -> None:
-        """Bridge the counters into a telemetry
-        :class:`~repro.telemetry.metrics.MetricsRegistry` as gauges."""
-        registry.gauge(f"{prefix}.calls").set(self.calls)
-        registry.gauge(f"{prefix}.injected_failures").set(
-            self.injected_failures
-        )
-        registry.gauge(f"{prefix}.injected_latency_spikes").set(
-            self.injected_latency_spikes
-        )
-
 
 class FaultInjectingCostSource:
     """Wraps a cost source and injects deterministic faults.

@@ -188,26 +188,3 @@ class ResilienceStatistics:
     def copy(self) -> ResilienceStatistics:
         """Point-in-time copy (the live object mutates in place)."""
         return ResilienceStatistics(**vars(self))
-
-    def publish(self, registry, prefix: str = "resilience") -> None:
-        """Bridge the counters into a telemetry
-        :class:`~repro.telemetry.metrics.MetricsRegistry` as gauges."""
-        registry.gauge(f"{prefix}.attempts").set(self.attempts)
-        registry.gauge(f"{prefix}.retries").set(self.retries)
-        registry.gauge(f"{prefix}.transient_failures").set(
-            self.transient_failures
-        )
-        registry.gauge(f"{prefix}.timeouts").set(self.timeouts)
-        registry.gauge(f"{prefix}.breaker_short_circuits").set(
-            self.breaker_short_circuits
-        )
-        registry.gauge(f"{prefix}.stale_cache_hits").set(
-            self.stale_cache_hits
-        )
-        registry.gauge(f"{prefix}.fallback_calls").set(
-            self.fallback_calls
-        )
-        registry.gauge(f"{prefix}.unavailable").set(self.unavailable)
-        registry.gauge(f"{prefix}.breaker_state").set(
-            self.breaker_state.value
-        )

@@ -48,14 +48,14 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from repro.advisor import (
-    ALGORITHMS,
-    COST_KERNELS,
     KernelStacks,
+    check_algorithm,
+    check_cost_kernel,
     coerce_budget,
     run_selection,
 )
-from repro.core.steps import STATUS_DEGRADED
-from repro.core.sweep import sweep_select
+from repro.core.steps import STATUS_DEGRADED, SelectionResult
+from repro.core.sweep import SweepResult, sweep_select
 from repro.cost.whatif import CostSource
 from repro.exceptions import (
     ExperimentError,
@@ -93,6 +93,19 @@ _RETRY_AFTER_DEFAULT_LATENCY_S = 0.5
 _RECENT_LATENCY_WINDOW = 32
 
 
+def _index_labels(
+    result: SelectionResult, schema: Schema
+) -> tuple[str, ...]:
+    """Labels of a result's indexes, in (table, attributes) order."""
+    return tuple(
+        index.label(schema)
+        for index in sorted(
+            result.configuration,
+            key=lambda index: (index.table_name, index.attributes),
+        )
+    )
+
+
 @dataclass
 class ServiceStatistics:
     """Lifetime counters of one service (the ``service.*`` gauges)."""
@@ -126,50 +139,6 @@ class ServiceStatistics:
         workload version an earlier request had priced)."""
         return (
             self.warm_requests / self.completed if self.completed else 0.0
-        )
-
-    def publish(self, registry, prefix: str = "service") -> None:
-        """Bridge the counters into a telemetry registry as gauges."""
-        registry.gauge(f"{prefix}.admitted").set(self.admitted)
-        registry.gauge(f"{prefix}.rejected").set(self.rejected)
-        registry.gauge(f"{prefix}.completed").set(self.completed)
-        registry.gauge(f"{prefix}.degraded").set(self.degraded)
-        registry.gauge(f"{prefix}.failed").set(self.failed)
-        registry.gauge(f"{prefix}.warm_requests").set(
-            self.warm_requests
-        )
-        registry.gauge(f"{prefix}.warm_request_rate").set(
-            self.warm_request_rate
-        )
-        registry.gauge(f"{prefix}.in_flight").set(self.in_flight)
-        registry.gauge(f"{prefix}.queue_depth").set(self.queue_depth)
-        registry.gauge(f"{prefix}.peak_in_flight").set(
-            self.peak_in_flight
-        )
-        registry.gauge(f"{prefix}.peak_queue_depth").set(
-            self.peak_queue_depth
-        )
-        registry.gauge(f"{prefix}.queue_wait_seconds_total").set(
-            self.queue_wait_seconds_total
-        )
-        registry.gauge(f"{prefix}.wall_seconds_total").set(
-            self.wall_seconds_total
-        )
-        registry.gauge(f"{prefix}.watchdog_cancelled").set(
-            self.watchdog_cancelled
-        )
-        registry.gauge(f"{prefix}.drain_forced").set(self.drain_forced)
-        registry.gauge(f"{prefix}.snapshot_writes").set(
-            self.snapshot_writes
-        )
-        registry.gauge(f"{prefix}.snapshot_restores").set(
-            self.snapshot_restores
-        )
-        registry.gauge(f"{prefix}.snapshot_corruptions").set(
-            self.snapshot_corruptions
-        )
-        registry.gauge(f"{prefix}.snapshot_sequence").set(
-            self.snapshot_sequence
         )
 
 
@@ -439,11 +408,7 @@ class AdvisorService:
             raise ServiceError(
                 f"queue_depth must be >= 0, got {queue_depth}"
             )
-        if cost_kernel not in COST_KERNELS:
-            raise ExperimentError(
-                f"unknown cost kernel {cost_kernel!r}; pick one of "
-                f"{', '.join(COST_KERNELS)}"
-            )
+        check_cost_kernel(cost_kernel)
         if drain_timeout_s < 0:
             raise ServiceError(
                 f"drain_timeout_s must be >= 0, got {drain_timeout_s}"
@@ -629,17 +594,9 @@ class AdvisorService:
         only fail later surfaces through the ticket's future.
         """
         registration = self._registry.get(request.workload)
-        if request.algorithm not in ALGORITHMS:
-            raise ExperimentError(
-                f"unknown algorithm {request.algorithm!r}; pick one of "
-                f"{', '.join(ALGORITHMS)}"
-            )
+        check_algorithm(request.algorithm)
         kernel = request.cost_kernel or self._default_kernel
-        if kernel not in COST_KERNELS:
-            raise ExperimentError(
-                f"unknown cost kernel {kernel!r}; pick one of "
-                f"{', '.join(COST_KERNELS)}"
-            )
+        check_cost_kernel(kernel)
         budget = coerce_budget(
             self._schema, request.budget_share, request.budget_bytes
         )
@@ -648,10 +605,28 @@ class AdvisorService:
         workload = registration.workload
         version = registration.version
         record = self._admit(request.request_id, request.deadline_s)
+
+        def select(optimizer, telemetry) -> SelectionResult:
+            return run_selection(
+                workload,
+                budget,
+                algorithm=request.algorithm,
+                optimizer=optimizer,
+                telemetry=telemetry,
+                candidate_width=request.candidate_width,
+                deadline=record.deadline,
+            )
+
+        def respond(result, **fields) -> RecommendResponse:
+            return RecommendResponse(
+                result=result,
+                indexes=_index_labels(result, workload.schema),
+                **fields,
+            )
+
         self._pool.submit(
             lambda: self._run(
-                record, request, registration, workload, version,
-                kernel, budget,
+                record, registration, version, kernel, select, respond
             )
         )
         return ServiceTicket(record.request_id, record.stream, record.future)
@@ -669,11 +644,7 @@ class AdvisorService:
         """
         registration = self._registry.get(request.workload)
         kernel = request.cost_kernel or self._default_kernel
-        if kernel not in COST_KERNELS:
-            raise ExperimentError(
-                f"unknown cost kernel {kernel!r}; pick one of "
-                f"{', '.join(COST_KERNELS)}"
-            )
+        check_cost_kernel(kernel)
         # Shares were range-checked by SweepRequest; coercing each one
         # against the schema keeps budget validation synchronous too.
         for share in request.budget_shares:
@@ -681,9 +652,55 @@ class AdvisorService:
         workload = registration.workload
         version = registration.version
         record = self._admit(request.request_id, request.deadline_s)
+
+        def on_point(point) -> None:
+            # Per-point boundary events between the step events:
+            # published straight on the stream (the protocol loop
+            # forwards every stream record), so streaming clients
+            # watch the frontier fill in point by point.
+            record.stream.publish(
+                {
+                    "type": "sweep_point",
+                    "request_id": record.request_id,
+                    "budget_share": point.budget_share,
+                    "status": point.result.status,
+                    "total_cost": point.result.total_cost,
+                    "memory": point.result.memory,
+                    "whatif_calls": point.whatif_calls,
+                }
+            )
+
+        def select(optimizer, telemetry) -> SweepResult:
+            # on_error="partial": a worker failure mid-sweep degrades
+            # to the points already answered (a tagged partial
+            # frontier); with nothing answered yet it propagates and
+            # fails the request like any other worker death.
+            return sweep_select(
+                workload,
+                optimizer,
+                request.budget_shares,
+                telemetry=telemetry,
+                deadline=record.deadline,
+                on_error="partial",
+                point_callback=on_point,
+            )
+
+        def respond(sweep, **fields) -> SweepResponse:
+            return SweepResponse(
+                partial=sweep.partial,
+                sweep=sweep,
+                indexes={
+                    point.budget_share: _index_labels(
+                        point.result, workload.schema
+                    )
+                    for point in sweep.points
+                },
+                **fields,
+            )
+
         self._pool.submit(
-            lambda: self._run_sweep(
-                record, request, registration, workload, version, kernel,
+            lambda: self._run(
+                record, registration, version, kernel, select, respond
             )
         )
         return ServiceTicket(record.request_id, record.stream, record.future)
@@ -781,13 +798,19 @@ class AdvisorService:
     def _run(
         self,
         record: _RequestRecord,
-        request: RecommendRequest,
         registration: WorkloadRegistration,
-        workload: Workload,
         version: int,
         kernel: str,
-        budget: float,
+        select: Callable[..., SelectionResult | SweepResult],
+        respond: Callable[..., RecommendResponse | SweepResponse],
     ) -> None:
+        """Execute one admitted request on a worker thread.
+
+        ``select(optimizer, telemetry)`` computes the outcome and
+        ``respond(outcome, **fields)`` wraps it into the response type;
+        the stack, warm flag, gauges and accounting around them are the
+        same for every request shape.
+        """
         record.worker = threading.current_thread()
         started = self._clock()
         queue_seconds = max(0.0, started - record.submitted_at)
@@ -796,26 +819,17 @@ class AdvisorService:
             resilient, optimizer = self._stacks.stack(kernel)
             warm = registration.is_priced(kernel, version)
             before = optimizer.statistics.copy()
-            result = run_selection(
-                workload,
-                budget,
-                algorithm=request.algorithm,
-                optimizer=optimizer,
-                telemetry=telemetry,
-                candidate_width=request.candidate_width,
-                deadline=record.deadline,
-            )
+            outcome = select(optimizer, telemetry)
             wall_seconds = max(0.0, self._clock() - started)
-            telemetry.record_whatif(optimizer.statistics.since(before))
-            telemetry.record_resilience(resilient.statistics)
-            kernel_statistics = self._stacks.vectorized_statistics()
-            if kernel_statistics is not None:
-                telemetry.record_kernel(kernel_statistics)
+            metrics = telemetry.metrics
+            self._stacks.publish(
+                metrics, kernel, optimizer.statistics.since(before)
+            )
             lifetime = self._account_completion(
                 record,
                 registration,
                 (kernel, version),
-                degraded=result.status == STATUS_DEGRADED,
+                degraded=outcome.status == STATUS_DEGRADED,
                 warm=warm,
                 queue_seconds=queue_seconds,
                 wall_seconds=wall_seconds,
@@ -824,160 +838,27 @@ class AdvisorService:
                 # The watchdog (or drain) already resolved this request;
                 # the late result is discarded, never double-counted.
                 return
-            metrics = telemetry.metrics
-            lifetime.publish(metrics)
+            metrics.publish("service", lifetime)
             metrics.gauge("service.queue_seconds").set(queue_seconds)
             metrics.gauge("service.wall_seconds").set(wall_seconds)
             metrics.gauge("service.warm").set(1 if warm else 0)
             metrics.gauge("service.breaker_state").set(
                 resilient.statistics.breaker_state.value
             )
-            gauges = {
-                name: value
-                for name, value in metrics.snapshot().items()
-                if isinstance(value, (int, float))
-            }
-            schema = workload.schema
-            indexes = tuple(
-                index.label(schema)
-                for index in sorted(
-                    result.configuration,
-                    key=lambda index: (
-                        index.table_name,
-                        index.attributes,
-                    ),
-                )
-            )
-            response = RecommendResponse(
+            response = respond(
+                outcome,
                 request_id=record.request_id,
-                workload=request.workload,
+                workload=registration.name,
                 workload_version=version,
-                status=result.status,
+                status=outcome.status,
                 warm=warm,
                 wall_seconds=wall_seconds,
                 queue_seconds=queue_seconds,
-                result=result,
-                indexes=indexes,
-                gauges=gauges,
-            )
-            record.stream.finish()
-            record.future.set_result(response)
-        except BaseException as error:  # noqa: BLE001 - future carries it
-            if not self._fail(record, error):
-                logger.warning(
-                    "late failure of already-resolved request %s: %r",
-                    record.request_id,
-                    error,
-                )
-        finally:
-            telemetry.close()
-
-    def _run_sweep(
-        self,
-        record: _RequestRecord,
-        request: SweepRequest,
-        registration: WorkloadRegistration,
-        workload: Workload,
-        version: int,
-        kernel: str,
-    ) -> None:
-        record.worker = threading.current_thread()
-        started = self._clock()
-        queue_seconds = max(0.0, started - record.submitted_at)
-        telemetry = Telemetry(sinks=(StreamSink(record.stream),))
-        try:
-            resilient, optimizer = self._stacks.stack(kernel)
-            warm = registration.is_priced(kernel, version)
-            before = optimizer.statistics.copy()
-
-            def on_point(point) -> None:
-                # Per-point boundary events between the step events:
-                # published straight on the stream (the protocol loop
-                # forwards every stream record), so streaming clients
-                # watch the frontier fill in point by point.
-                record.stream.publish(
-                    {
-                        "type": "sweep_point",
-                        "request_id": record.request_id,
-                        "budget_share": point.budget_share,
-                        "status": point.result.status,
-                        "total_cost": point.result.total_cost,
-                        "memory": point.result.memory,
-                        "whatif_calls": point.whatif_calls,
-                    }
-                )
-
-            # on_error="partial": a worker failure mid-sweep degrades
-            # to the points already answered (a tagged partial
-            # frontier); with nothing answered yet it propagates and
-            # fails the request like any other worker death.
-            sweep_result = sweep_select(
-                workload,
-                optimizer,
-                request.budget_shares,
-                telemetry=telemetry,
-                deadline=record.deadline,
-                on_error="partial",
-                point_callback=on_point,
-            )
-            wall_seconds = max(0.0, self._clock() - started)
-            telemetry.record_whatif(optimizer.statistics.since(before))
-            telemetry.record_resilience(resilient.statistics)
-            kernel_statistics = self._stacks.vectorized_statistics()
-            if kernel_statistics is not None:
-                telemetry.record_kernel(kernel_statistics)
-            status = sweep_result.status
-            lifetime = self._account_completion(
-                record,
-                registration,
-                (kernel, version),
-                degraded=status == STATUS_DEGRADED,
-                warm=warm,
-                queue_seconds=queue_seconds,
-                wall_seconds=wall_seconds,
-            )
-            if lifetime is None:
-                return
-            metrics = telemetry.metrics
-            lifetime.publish(metrics)
-            sweep_result.statistics.publish(metrics)
-            metrics.gauge("service.queue_seconds").set(queue_seconds)
-            metrics.gauge("service.wall_seconds").set(wall_seconds)
-            metrics.gauge("service.warm").set(1 if warm else 0)
-            metrics.gauge("service.breaker_state").set(
-                resilient.statistics.breaker_state.value
-            )
-            gauges = {
-                name: value
-                for name, value in metrics.snapshot().items()
-                if isinstance(value, (int, float))
-            }
-            schema = workload.schema
-            indexes = {
-                point.budget_share: tuple(
-                    index.label(schema)
-                    for index in sorted(
-                        point.result.configuration,
-                        key=lambda index: (
-                            index.table_name,
-                            index.attributes,
-                        ),
-                    )
-                )
-                for point in sweep_result.points
-            }
-            response = SweepResponse(
-                request_id=record.request_id,
-                workload=request.workload,
-                workload_version=version,
-                status=status,
-                partial=sweep_result.partial,
-                warm=warm,
-                wall_seconds=wall_seconds,
-                queue_seconds=queue_seconds,
-                sweep=sweep_result,
-                indexes=indexes,
-                gauges=gauges,
+                gauges={
+                    name: value
+                    for name, value in metrics.snapshot().items()
+                    if isinstance(value, (int, float))
+                },
             )
             record.stream.finish()
             record.future.set_result(response)
@@ -1188,7 +1069,7 @@ class AdvisorService:
         when no snapshot was ever written or restored.
         """
         registry = MetricsRegistry()
-        self.statistics.publish(registry)
+        registry.publish("service", self.statistics)
         breaker = 0
         for kernel in self._stacks.built_kernels():
             resilient, _ = self._stacks.stack(kernel)

@@ -11,10 +11,16 @@ across runs.
 Instruments are created lazily and keyed by name; asking for the same
 name twice returns the same instrument, asking for the same name with a
 different instrument type raises :class:`~repro.exceptions.TelemetryError`.
+
+Subsystems keep their counters in plain ``*Statistics`` dataclasses and
+bridge them into a registry through :meth:`MetricsRegistry.publish`,
+the one rule that turns a statistics object into gauges.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import random
 from dataclasses import dataclass
 
@@ -179,6 +185,24 @@ class MetricsRegistry:
     def histogram(self, name: str, capacity: int = 256) -> Histogram:
         """The histogram called ``name`` (created on first use)."""
         return self._get(name, Histogram, capacity)
+
+    def publish(self, prefix: str, statistics) -> None:
+        """Set the gauge ``<prefix>.<name>`` for every dataclass field
+        and every property of a ``*Statistics`` object.
+
+        Enums publish their ``.value`` and bools publish as 0/1.
+        """
+        cls = type(statistics)
+        names = [field.name for field in dataclasses.fields(cls)] + [
+            name
+            for name in dir(cls)
+            if isinstance(getattr(cls, name), property)
+        ]
+        for name in names:
+            value = getattr(statistics, name)
+            if isinstance(value, enum.Enum):
+                value = value.value
+            self.gauge(f"{prefix}.{name}").set(value)
 
     def __contains__(self, name: str) -> bool:
         return name in self._instruments

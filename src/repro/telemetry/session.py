@@ -67,36 +67,6 @@ class Telemetry:
         for sink in self.sinks:
             sink.emit(record)
 
-    def record_whatif(self, statistics, prefix: str = "whatif") -> None:
-        """Bridge a :class:`~repro.cost.whatif.WhatIfStatistics` into
-        the registry as gauges (calls, cache hits, hit rate)."""
-        statistics.publish(self.metrics, prefix=prefix)
-
-    def record_resilience(
-        self, statistics, prefix: str = "resilience"
-    ) -> None:
-        """Bridge a
-        :class:`~repro.resilience.ResilienceStatistics` (or
-        :class:`~repro.resilience.FaultStatistics` via ``prefix=
-        "faults"``) into the registry as gauges — retries, breaker
-        state, fault counters."""
-        statistics.publish(self.metrics, prefix=prefix)
-
-    def record_evaluation(
-        self, statistics, prefix: str = "evaluation"
-    ) -> None:
-        """Bridge an
-        :class:`~repro.core.evaluation.EvaluationStatistics` into the
-        registry as gauges — rounds, evaluations, reuse rate,
-        invalidations, priced/pruned candidates."""
-        statistics.publish(self.metrics, prefix=prefix)
-
-    def record_kernel(self, statistics, prefix: str = "kernel") -> None:
-        """Bridge a :class:`~repro.cost.kernel.KernelStatistics` into
-        the registry as gauges — compiled packs/queries, compile time,
-        batch calls and sizes, scalar fallthrough calls."""
-        statistics.publish(self.metrics, prefix=prefix)
-
     def snapshot(self) -> TelemetrySnapshot:
         """Immutable view of metrics, finished spans, and events."""
         return TelemetrySnapshot(
@@ -142,22 +112,6 @@ class _DisabledTelemetry:
         self.metrics = MetricsRegistry()
 
     def emit_step(self, event: StepEvent) -> None:
-        pass
-
-    def record_whatif(self, statistics, prefix: str = "whatif") -> None:
-        pass
-
-    def record_resilience(
-        self, statistics, prefix: str = "resilience"
-    ) -> None:
-        pass
-
-    def record_evaluation(
-        self, statistics, prefix: str = "evaluation"
-    ) -> None:
-        pass
-
-    def record_kernel(self, statistics, prefix: str = "kernel") -> None:
         pass
 
     def snapshot(self) -> TelemetrySnapshot:

@@ -65,14 +65,17 @@ class TestEvaluationStatistics:
         from repro.telemetry import MetricsRegistry
 
         registry = MetricsRegistry()
-        EvaluationStatistics(
-            rounds=3,
-            evaluations=10,
-            reused=30,
-            invalidations=7,
-            priced_candidates=5,
-            pruned_candidates=2,
-        ).publish(registry)
+        registry.publish(
+            "evaluation",
+            EvaluationStatistics(
+                rounds=3,
+                evaluations=10,
+                reused=30,
+                invalidations=7,
+                priced_candidates=5,
+                pruned_candidates=2,
+            ),
+        )
         snapshot = registry.snapshot()
         assert snapshot["evaluation.rounds"] == 3
         assert snapshot["evaluation.reuse_rate"] == pytest.approx(0.75)

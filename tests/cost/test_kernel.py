@@ -388,7 +388,7 @@ class TestKernelStatistics:
             scalar_calls=3,
         )
         telemetry = Telemetry()
-        telemetry.record_kernel(statistics)
+        telemetry.metrics.publish("kernel", statistics)
         snapshot = telemetry.metrics.snapshot()
         assert snapshot["kernel.compiled_workloads"] == 2
         assert snapshot["kernel.compiled_queries"] == 30

@@ -231,7 +231,7 @@ class TestStatisticsPublish:
         optimizer.sequential_cost(query)  # cache hit
 
         registry = MetricsRegistry()
-        optimizer.statistics.publish(registry)
+        registry.publish("whatif", optimizer.statistics)
         snapshot = registry.snapshot()
         assert snapshot["whatif.calls"] == 1  # one backend call
         assert snapshot["whatif.cache_hits"] == 1
@@ -243,7 +243,7 @@ class TestStatisticsPublish:
         _, optimizer = counting
         optimizer.sequential_cost(tiny_workload.queries[0])
         registry = MetricsRegistry()
-        optimizer.statistics.publish(registry, prefix="run1")
+        registry.publish("run1", optimizer.statistics)
         snapshot = registry.snapshot()
         assert snapshot["run1.calls"] == 1
         assert "whatif.calls" not in snapshot
@@ -253,7 +253,7 @@ class TestStatisticsPublish:
         from repro.telemetry import MetricsRegistry
 
         registry = MetricsRegistry()
-        WhatIfStatistics().publish(registry)
+        registry.publish("whatif", WhatIfStatistics())
         snapshot = registry.snapshot()
         assert snapshot["whatif.calls"] == 0
         assert snapshot["whatif.hit_rate"] == 0.0

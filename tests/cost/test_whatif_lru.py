@@ -131,7 +131,7 @@ class TestAccounting:
         for query in queries:
             optimizer.sequential_cost(query)
         registry = MetricsRegistry()
-        optimizer.statistics.publish(registry)
+        registry.publish("whatif", optimizer.statistics)
         assert (
             registry.gauge("whatif.evictions").value
             == len(queries) - 1

@@ -338,7 +338,7 @@ class TestTelemetryIntegration:
         recommendation = advisor.recommend(
             small_workload, budget_share=0.4
         )
-        telemetry.record_resilience(flaky.statistics, prefix="faults")
+        telemetry.metrics.publish("faults", flaky.statistics)
 
         metrics = telemetry.snapshot().metrics
         assert metrics["resilience.retries"] > 0

@@ -165,5 +165,5 @@ class TestProtocolMirroring:
         source = FaultInjectingCostSource(analytical)
         source.query_cost(a_query, None)
         registry = MetricsRegistry()
-        source.statistics.publish(registry)
+        registry.publish("faults", source.statistics)
         assert registry.snapshot()["faults.calls"] == 1

@@ -140,7 +140,7 @@ class TestResilienceStatistics:
             unavailable=0,
             breaker_state=BreakerState.OPEN,
         )
-        statistics.publish(registry)
+        registry.publish("resilience", statistics)
         snapshot = registry.snapshot()
         assert snapshot["resilience.attempts"] == 10
         assert snapshot["resilience.retries"] == 4

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -24,10 +26,36 @@ from repro.resilience import FaultInjectingCostSource
 from repro.service import (
     AdvisorService,
     RecommendRequest,
+    SweepRequest,
 )
 from repro.workload.query import Workload
 
 _JOIN_S = 30.0
+_OBSERVABILITY_DOC = (
+    Path(__file__).resolve().parents[2] / "docs" / "OBSERVABILITY.md"
+)
+
+
+def _documented_metrics() -> list[re.Pattern]:
+    """One pattern per metric named in the first column of a ``Metric``
+    table of docs/OBSERVABILITY.md; a ``<name>`` placeholder matches
+    one dotted segment."""
+    patterns = []
+    in_metric_table = False
+    for line in _OBSERVABILITY_DOC.read_text(encoding="utf-8").splitlines():
+        if not line.startswith("|"):
+            in_metric_table = False
+            continue
+        first_cell = line.split("|")[1].strip()
+        if first_cell == "Metric":
+            in_metric_table = True
+        elif in_metric_table:
+            for name in re.findall(r"`([^`]+)`", first_cell):
+                parts = re.split(r"<[^>]+>", name)
+                patterns.append(
+                    re.compile("[^.]+".join(map(re.escape, parts)))
+                )
+    return patterns
 
 
 @pytest.fixture
@@ -512,6 +540,30 @@ class TestObservability:
         ):
             assert name in gauges, name
         assert gauges["service.breaker_state"] == 0
+
+    def test_every_gauge_is_documented(self, service):
+        emitted = set()
+        for algorithm in ("extend", "extend+swap"):
+            emitted |= set(
+                service.recommend(
+                    RecommendRequest(
+                        workload="w", budget_share=0.3, algorithm=algorithm
+                    )
+                ).gauges
+            )
+        emitted |= set(
+            service.sweep(
+                SweepRequest(workload="w", budget_shares=(0.1, 0.3))
+            ).gauges
+        )
+        emitted |= set(service.gauges())
+        patterns = _documented_metrics()
+        undocumented = sorted(
+            name
+            for name in emitted
+            if not any(pattern.fullmatch(name) for pattern in patterns)
+        )
+        assert undocumented == []
 
     def test_response_to_dict_is_json_safe(self, service):
         response = service.recommend(
