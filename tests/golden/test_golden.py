@@ -7,6 +7,12 @@ selection pipeline — candidate enumeration order, tie-breaking, the
 incremental evaluation engine, the cost model — shows up here as a
 unified diff of the step trace.
 
+``fig4_writes_extend`` turns a seeded fifth of the Fig. 4 templates
+into UPDATEs and INSERTs and records ``repr(total_cost)`` and the
+what-if call count of every run, so the index-maintenance bookkeeping
+(which the naive oracle shares with the incremental engine) is pinned
+bit for bit.
+
 Intentional changes are re-snapshotted with::
 
     PYTHONPATH=src python -m pytest tests/golden -q --update-golden
@@ -16,10 +22,12 @@ and the rewritten JSON committed alongside the change that caused it.
 
 from __future__ import annotations
 
+import dataclasses
 import difflib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.extend import ExtendAlgorithm
@@ -32,6 +40,7 @@ from repro.workload.enterprise import (
     generate_enterprise_workload,
 )
 from repro.workload.generator import GeneratorConfig, generate_workload
+from repro.workload.query import QueryKind, Workload
 
 GOLDEN_DIR = Path(__file__).parent
 
@@ -42,6 +51,8 @@ FIG2_CONFIG = GeneratorConfig(
     attributes_per_table=50, queries_per_table=20, seed=1909
 )
 FIG4_CONFIG = EnterpriseConfig(scale=0.02, seed=500)
+WRITE_SEED = 2271
+WRITE_SHARE = 0.2
 
 
 def _snapshot(result: SelectionResult) -> dict:
@@ -56,12 +67,22 @@ def _snapshot(result: SelectionResult) -> dict:
     }
 
 
-def _sweep(workload, algorithms: dict, shares: tuple[float, ...]) -> dict:
+def _exact_snapshot(result: SelectionResult) -> dict:
+    return {
+        **_snapshot(result),
+        "total_cost_repr": repr(result.total_cost),
+        "whatif_calls": result.whatif_calls,
+    }
+
+
+def _sweep(
+    workload, algorithms: dict, shares: tuple[float, ...], snapshot=_snapshot
+) -> dict:
     runs: dict[str, dict] = {}
     for name, build in algorithms.items():
         optimizer = analytic_optimizer(workload)
         runs[name] = {
-            f"w={share}": _snapshot(
+            f"w={share}": snapshot(
                 build(optimizer).select(
                     workload, relative_budget(workload.schema, share)
                 )
@@ -69,6 +90,28 @@ def _sweep(workload, algorithms: dict, shares: tuple[float, ...]) -> dict:
             for share in shares
         }
     return runs
+
+
+def _with_writes(workload: Workload) -> Workload:
+    """``workload`` with a ``WRITE_SEED``-drawn ``WRITE_SHARE`` of its
+    templates made writes, half of them UPDATEs and half INSERTs."""
+    rng = np.random.default_rng(WRITE_SEED)
+    writes = rng.uniform(size=len(workload)) < WRITE_SHARE
+    updates = rng.uniform(size=len(workload)) < 0.5
+    return Workload(
+        workload.schema,
+        [
+            dataclasses.replace(
+                query,
+                kind=(QueryKind.UPDATE if update else QueryKind.INSERT)
+                if write
+                else QueryKind.SELECT,
+            )
+            for query, write, update in zip(
+                workload.queries, writes, updates
+            )
+        ],
+    )
 
 
 def _fig2_snapshot() -> dict:
@@ -105,9 +148,27 @@ def _fig4_snapshot() -> dict:
     }
 
 
+def _fig4_writes_snapshot() -> dict:
+    workload = _with_writes(generate_enterprise_workload(FIG4_CONFIG))
+    return {
+        "workload": (
+            "fig4 scaled: enterprise workload at scale=0.02, seed 500, "
+            f"{WRITE_SHARE:.0%} of templates UPDATE/INSERT (seed "
+            f"{WRITE_SEED})"
+        ),
+        "runs": _sweep(
+            workload,
+            {"extend": ExtendAlgorithm},
+            (0.02, 0.05, 0.1),
+            snapshot=_exact_snapshot,
+        ),
+    }
+
+
 SCENARIOS = {
     "fig2_extend": _fig2_snapshot,
     "fig4_extend": _fig4_snapshot,
+    "fig4_writes_extend": _fig4_writes_snapshot,
 }
 
 
