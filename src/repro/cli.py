@@ -622,15 +622,16 @@ def main(argv: list[str] | None = None) -> int:
     advise.add_argument(
         "--algorithm", choices=_ALGORITHMS, default="extend"
     )
-    advise.add_argument("--budget", type=float, default=0.3,
-                        help="budget share w of Eq. 10 (default 0.3)")
-    advise.add_argument(
+    budgets = advise.add_mutually_exclusive_group()
+    budgets.add_argument("--budget", type=float, default=0.3,
+                         help="budget share w of Eq. 10 (default 0.3)")
+    budgets.add_argument(
         "--budget-sweep", type=_budget_sweep_spec, default=None,
         metavar="LOW:HIGH:STEPS",
         help="answer a whole cost/memory frontier instead of one "
              "budget: STEPS evenly spaced shares in [LOW, HIGH] "
              "(e.g. 0.1:1.0:10), one Extend run each over one what-if "
-             "cache; overrides --budget",
+             "cache; not allowed with --budget",
     )
     advise.add_argument(
         "--candidates", type=int, default=0,

@@ -22,15 +22,18 @@ change the optimum but keeps the matrices small.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
-from repro.cost.whatif import Applicability, WhatIfOptimizer
+from repro.cost.whatif import Applicability, WhatIfOptimizer, WriteLoad
 from repro.exceptions import SolverError
 from repro.indexes.index import Index
 from repro.indexes.memory import index_memory
 from repro.workload.query import Workload
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["CoPhyProblem", "LPSize", "build_problem", "lp_size"]
 
@@ -140,14 +143,10 @@ def build_problem(
 
     # Write queries charge maintenance on every selected index they
     # touch: a linear ``Σ_j b_j · m_jk · x_k`` objective contribution.
-    write_queries = [query for query in queries if not query.is_select]
+    writes = WriteLoad(queries)
     objective_x = [0.0] * x_count
     for index, position in candidate_position.items():
-        objective_x[position] = sum(
-            query.frequency * optimizer.maintenance_cost(query, index)
-            for query in write_queries
-            if query.table_name == index.table_name
-        )
+        objective_x[position] = writes.load(optimizer, index)
 
     # z variables: one per (query, option); option None = no index.
     z_options: list[tuple[int, Index | None]] = []
@@ -206,6 +205,10 @@ def build_problem(
     lower.append(0.0)
     upper.append(float(budget))
     constraint_index += 1
+
+    # Imported here: scipy takes longer to import than a whole warm
+    # Extend request, and only CoPhy needs it.
+    from scipy import sparse
 
     matrix = sparse.csr_matrix(
         (data, (rows, cols)),

@@ -15,7 +15,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.core.steps import (
     STATUS_COMPLETED,
@@ -184,6 +183,8 @@ class CoPhyAlgorithm:
     def _solve(
         self, problem: CoPhyProblem, time_limit: float | None
     ) -> tuple[np.ndarray, bool]:
+        from scipy.optimize import Bounds, LinearConstraint, milp
+
         variable_count = problem.constraint_matrix.shape[1]
         options: dict[str, float] = {"mip_rel_gap": self._mip_gap}
         if time_limit is not None:

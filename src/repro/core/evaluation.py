@@ -203,15 +203,22 @@ class _Entry:
 
     ``value`` is the exact benefit for priced moves and the admissible
     upper bound for unpriced ones; ``dirty`` marks it stale with respect
-    to the current per-query cost vector.
+    to the current per-query cost vector.  ``sequence`` is the
+    registration order (the tie-breaker among equal bound ratios) and
+    ``stamp`` tells the entry's current item in the bound heap from
+    outdated ones: an item whose stamp differs is skipped.  The entry
+    never refers to its heap items, so a run's moves are freed by
+    reference counting alone.
     """
 
-    __slots__ = ("move", "value", "dirty")
+    __slots__ = ("move", "value", "dirty", "sequence", "stamp")
 
-    def __init__(self, move: CandidateMove) -> None:
+    def __init__(self, move: CandidateMove, sequence: int) -> None:
         self.move = move
         self.value = 0.0
         self.dirty = True
+        self.sequence = sequence
+        self.stamp = 0
 
 
 class BenefitTable:
@@ -243,6 +250,13 @@ class BenefitTable:
         self._dirty: dict[_Entry, None] = {}
         self._unpriced: dict[_Entry, None] = {}
         self._priced: dict[_Entry, None] = {}
+        # Min-heap of ``(-bound ratio, sequence, stamp, entry)`` over the
+        # unpriced entries with a positive bound: the accelerated lazy
+        # greedy order (Minoux 1978).  Every such entry has exactly one
+        # current item between rounds; re-scoring an entry pushes a new
+        # item and outdates the old one by bumping the entry's stamp.
+        self._bounds: list[tuple[float, int, int, _Entry]] = []
+        self._registered = 0
         # The last :meth:`best` call's ranking, best first, as
         # ``(ratio, benefit, move)`` (see :meth:`priced_rivals`).
         self._ranking: list[tuple[float, float, CandidateMove]] = []
@@ -254,12 +268,12 @@ class BenefitTable:
 
     def register(self, move: CandidateMove) -> None:
         """Add a candidate move (initially dirty, possibly unpriced)."""
+        entry = _Entry(move, self._registered)
+        self._registered += 1
+        self._entries[move] = entry
         if self._naive:
             move.price()
-            self._entries[move] = _Entry(move)
             return
-        entry = _Entry(move)
-        self._entries[move] = entry
         self._dirty[entry] = None
         if move.costs is not None:
             self._priced[entry] = None
@@ -275,6 +289,7 @@ class BenefitTable:
             return
         if self._naive:
             return
+        entry.stamp += 1  # outdates its heap item
         self._dirty.pop(entry, None)
         self._unpriced.pop(entry, None)
         self._priced.pop(entry, None)
@@ -359,10 +374,12 @@ class BenefitTable:
         # ``top`` is a min-heap of the ``needed`` best qualifying priced
         # ratios, so its root is that threshold.  Pricing only adds
         # priced entries, so the threshold is monotonically
-        # non-decreasing within one call: each priced batch is pushed
-        # into the heap instead of rescanning the pool, and since the
-        # contenders are sorted by ratio, the ones still at or above
-        # the threshold are always a prefix of those not yet priced.
+        # non-decreasing within one call, and the contenders come off
+        # the bound heap best first, in batches of ``needed`` — the
+        # classic lazy-greedy minimum.  Moves that do not fit the
+        # remaining budget are parked for the call and pushed back
+        # after it: a later round may have more room (``prune_unused``
+        # frees memory).
         limit = float("inf") if max_memory_delta is None else max_memory_delta
         top = heapq.nlargest(
             needed,
@@ -374,24 +391,22 @@ class BenefitTable:
         )
         heapq.heapify(top)
         threshold = top[0] if len(top) == needed else float("-inf")
-        contenders = [
-            entry
-            for entry in self._unpriced
-            if entry.value > 0.0
-            and entry.move.memory_delta <= limit
-            and entry.value / entry.move.memory_delta >= threshold
-        ]
-        contenders.sort(
-            key=lambda entry: -(entry.value / entry.move.memory_delta)
-        )
-        for start in range(0, len(contenders), needed):
-            # Price the ``needed`` best contenders — the classic
-            # lazy-greedy minimum.
-            batch = [
-                entry
-                for entry in contenders[start : start + needed]
-                if entry.value / entry.move.memory_delta >= threshold
-            ]
+        bounds = self._bounds
+        parked = []
+        while True:
+            batch: list[_Entry] = []
+            while bounds and len(batch) < needed:
+                negated_ratio, _, stamp, entry = bounds[0]
+                if stamp != entry.stamp:
+                    heapq.heappop(bounds)  # outdated item
+                    continue
+                if -negated_ratio < threshold:
+                    break
+                item = heapq.heappop(bounds)
+                if entry.move.memory_delta > limit:
+                    parked.append(item)
+                else:
+                    batch.append(entry)
             if not batch:
                 break
             self._price(batch, current)
@@ -404,6 +419,8 @@ class BenefitTable:
                         heapq.heapreplace(top, ratio)
             if len(top) == needed:
                 threshold = top[0]
+        for item in parked:
+            heapq.heappush(bounds, item)
 
         return self._pick(current, runner_up_count, max_memory_delta)
 
@@ -443,14 +460,28 @@ class BenefitTable:
         dirty = list(self._dirty)
         self.statistics.evaluations += len(dirty)
         self.statistics.reused += len(self._entries) - len(dirty)
+        bounds = self._bounds
         for entry in dirty:
             move = entry.move
-            entry.value = (
-                move.benefit(current)
-                if move.costs is not None
-                else move.upper_bound(current)
-            )
             entry.dirty = False
+            if move.costs is not None:
+                entry.value = move.benefit(current)
+                continue
+            bound = move.upper_bound(current)
+            if bound == entry.value:
+                continue  # its heap item (if any) is still current
+            entry.value = bound
+            entry.stamp += 1
+            if bound > 0.0:
+                heapq.heappush(
+                    bounds,
+                    (
+                        -(bound / move.memory_delta),
+                        entry.sequence,
+                        entry.stamp,
+                        entry,
+                    ),
+                )
         self._dirty.clear()
 
     def _price(
@@ -470,11 +501,11 @@ class BenefitTable:
         runner_up_count: int,
         max_memory_delta: float | None,
     ):
+        # ``_rank`` sorts on a unique key, so the scan order is free.
         scored = [
             (entry.value / entry.move.memory_delta, entry.value, entry.move)
-            for entry in self._entries.values()
-            if entry.move.costs is not None
-            and entry.value > 0.0
+            for entry in self._priced
+            if entry.value > 0.0
             and (
                 max_memory_delta is None
                 or entry.move.memory_delta <= max_memory_delta

@@ -57,7 +57,7 @@ from repro.core.steps import (
     SelectionResult,
     StepKind,
 )
-from repro.cost.whatif import Applicability, WhatIfOptimizer
+from repro.cost.whatif import Applicability, WhatIfOptimizer, WriteLoad
 from repro.exceptions import BudgetError
 from repro.indexes.configuration import IndexConfiguration
 from repro.indexes.index import Index, canonical_index
@@ -461,9 +461,7 @@ class _ConstructionState:
             query.attributes for query in queries
         ]
 
-        self._write_queries = [
-            query for query in queries if not query.is_select
-        ]
+        self._writes = WriteLoad(queries)
 
         self._selected: set[Index] = set(baseline)
         self.memory = sum(
@@ -471,7 +469,7 @@ class _ConstructionState:
         )
         self._maintenance_total = sum(
             query.frequency * optimizer.maintenance_cost(query, index)
-            for query in self._write_queries
+            for query in self._writes.queries
             for index in self._selected
         )
         if self._selected:
@@ -492,10 +490,18 @@ class _ConstructionState:
         self.last_candidates_considered = 0
         self._table = BenefitTable(naive=evaluation.naive)
         self._single_moves: dict[int, CandidateMove] = {}
-        self._extension_moves: dict[tuple[Index, int], CandidateMove] = {}
+        # Pending extensions of each selected index, by appended attribute.
+        self._extension_moves: dict[Index, dict[int, CandidateMove]] = {}
         self._branch_moves: dict[
             tuple[tuple[int, ...], int], CandidateMove
         ] = {}
+        # Positions of the queries containing all of a selected index's
+        # attributes: an extension by ``a`` affects exactly those that
+        # also contain ``a``.  Kept from the move that created the index.
+        self._positions: dict[Index, np.ndarray] = {
+            index: self._positions_containing(frozenset(index.attributes))
+            for index in self._selected
+        }
         self._seed_singles(n_best_singles)
         if pair_seeds:
             self._seed_pairs()
@@ -531,13 +537,10 @@ class _ConstructionState:
     def _maintenance_delta(
         self, new_index: Index, old_index: Index | None = None
     ) -> float:
-        """Frequency-weighted maintenance added by a move."""
-        if not self._write_queries:
-            return 0.0
+        """Frequency-weighted maintenance added by a move (only writes
+        to the index's table maintain it)."""
         total = 0.0
-        for query in self._write_queries:
-            if query.table_name != new_index.table_name:
-                continue
+        for query in self._writes.on(new_index.table_name):
             delta = self._optimizer.maintenance_cost(query, new_index)
             if old_index is not None:
                 delta -= self._optimizer.maintenance_cost(
@@ -695,34 +698,46 @@ class _ConstructionState:
         if self._max_width is not None and index.width >= self._max_width:
             return
         table = self._schema.table(index.table_name)
+        positions = self._positions[index]
         indexed = set(index.attributes)
+        moves = self._extension_moves.setdefault(index, {})
         for attribute in table.attributes:
             if attribute.id in indexed:
                 continue
-            if attribute.id not in self._queries_with:
+            queries_with = self._queries_with.get(attribute.id)
+            if queries_with is None:
                 continue
-            move = self._build_extension_move(index, attribute.id)
+            move = self._build_extension_move(
+                index,
+                attribute.id,
+                np.intersect1d(positions, queries_with, assume_unique=True),
+                attribute.value_size * table.row_count,
+            )
             if move is not None:
-                key = (index, attribute.id)
-                stale = self._extension_moves.get(key)
+                stale = moves.get(attribute.id)
                 if stale is not None:
                     self._table.retire(stale)
-                self._extension_moves[key] = move
+                moves[attribute.id] = move
                 self._table.register(move)
 
+    def _retire_extension_moves(self, index: Index) -> None:
+        """Drop the pending extensions of an index leaving the selection."""
+        for move in self._extension_moves.pop(index, {}).values():
+            self._table.retire(move)
+
     def _build_extension_move(
-        self, index: Index, attribute_id: int
+        self,
+        index: Index,
+        attribute_id: int,
+        positions: np.ndarray,
+        memory_delta: int,
     ) -> CandidateMove | None:
+        """Appending ``attribute_id`` to ``index``, which affects the
+        queries at ``positions`` and adds the appended value column's
+        ``memory_delta`` bytes (Appendix B(ii))."""
         extended = index.extended_by(attribute_id)
-        if extended in self._selected:
+        if extended in self._selected or positions.size == 0:
             return None
-        required = frozenset(extended.attributes)
-        positions = self._positions_containing(required)
-        if positions.size == 0:
-            return None
-        memory_delta = index_memory(
-            self._schema, extended
-        ) - index_memory(self._schema, index)
         reconfiguration_delta = self._reconfiguration.creation_cost(
             self._schema, extended
         ) - self._reconfiguration.creation_cost(self._schema, index)
@@ -736,7 +751,7 @@ class _ConstructionState:
             StepKind.EXTEND,
             index,
             extended,
-            max(memory_delta, 1),
+            memory_delta,
             positions,
             self._weights[positions],
             reconfiguration_delta,
@@ -840,20 +855,19 @@ class _ConstructionState:
             assert move.old_index is not None
             self._selected.discard(move.old_index)
             self._selected.add(move.new_index)
+            del self._positions[move.old_index]
             # Retire moves extending the morphed index (the applied
             # move itself is among them).
-            for key in [
-                key
-                for key in self._extension_moves
-                if key[0] == move.old_index
-            ]:
-                self._table.retire(self._extension_moves[key])
-                del self._extension_moves[key]
-            # Queries that relied on the old index now rely on the new
-            # one (same usable prefix, same cost).
-            for position in range(len(self._best_index)):
-                if self._best_index[position] == move.old_index:
-                    self._best_index[position] = move.new_index
+            self._retire_extension_moves(move.old_index)
+            # Queries that relied on the old index (all of them contain
+            # its leading attribute) now rely on the new one (same
+            # usable prefix, same cost).
+            best_index = self._best_index
+            for position in self._queries_with[
+                move.old_index.leading_attribute
+            ].tolist():
+                if best_index[position] == move.old_index:
+                    best_index[position] = move.new_index
         else:
             self._selected.add(move.new_index)
             if move.kind is StepKind.NEW_SINGLE:
@@ -871,6 +885,7 @@ class _ConstructionState:
 
         self.memory += move.memory_delta
         self._maintenance_total += move.maintenance_penalty
+        self._positions[move.new_index] = move.positions
 
         improved = move.costs < self._current[move.positions]
         improved_positions = move.positions[improved]
@@ -925,13 +940,10 @@ class _ConstructionState:
             cost_before = self.total_cost + self._baseline_reconfiguration()
             memory_before = self.memory
             self._selected.discard(index)
+            del self._positions[index]
             self.memory -= index_memory(self._schema, index)
             self._maintenance_total -= self._maintenance_delta(index)
-            for key in [
-                key for key in self._extension_moves if key[0] == index
-            ]:
-                self._table.retire(self._extension_moves[key])
-                del self._extension_moves[key]
+            self._retire_extension_moves(index)
             steps.append(
                 ConstructionStep(
                     step_number=next_step_number + len(steps),

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.core.steps import STATUS_DEGRADED, SelectionResult
-from repro.cost.whatif import Applicability, WhatIfOptimizer
+from repro.cost.whatif import Applicability, WhatIfOptimizer, WriteLoad
 from repro.exceptions import BudgetError
 from repro.indexes.configuration import IndexConfiguration
 from repro.indexes.index import Index
@@ -43,9 +43,7 @@ class _CostCache:
     def __init__(self, workload: Workload, optimizer: WhatIfOptimizer):
         self.optimizer = optimizer
         self._queries = workload.queries
-        self._writes = [
-            query for query in self._queries if not query.is_select
-        ]
+        self._writes = WriteLoad(self._queries)
         self.applicability = Applicability(self._queries)
         self.weights = np.array(
             [query.frequency for query in self._queries], dtype=np.float64
@@ -80,15 +78,10 @@ class _CostCache:
     def maintenance_of(self, index: Index) -> float:
         """Frequency-weighted maintenance the index imposes on writes."""
         cached = self._maintenance.get(index)
-        if cached is not None:
-            return cached
-        total = sum(
-            query.frequency
-            * self.optimizer.maintenance_cost(query, index)
-            for query in self._writes
-        )
-        self._maintenance[index] = total
-        return total
+        if cached is None:
+            cached = self._writes.load(self.optimizer, index)
+            self._maintenance[index] = cached
+        return cached
 
     def configuration_cost(self, indexes: Iterable[Index]) -> float:
         """``F(I*)`` under one-index-per-query semantics plus the

@@ -16,6 +16,8 @@ number of such calls (≈ ``2·Q·q̄`` for Algorithm 1 versus
 * :class:`Applicability` — which queries each candidate applies to, and
   the path that prices a candidate pool's applicable pairs, in batches
   of at most :data:`PAIR_CHUNK`.
+* :class:`WriteLoad` — a workload's write queries grouped by table, and
+  the frequency-weighted maintenance an index imposes on them.
 
 All selection algorithms in this repository obtain costs exclusively
 through :class:`WhatIfOptimizer`, so call accounting is uniform.
@@ -39,6 +41,7 @@ __all__ = [
     "PAIR_CHUNK",
     "Applicability",
     "CostSource",
+    "WriteLoad",
     "AnalyticalCostSource",
     "WhatIfOptimizer",
     "WhatIfStatistics",
@@ -51,7 +54,9 @@ class CostSource(Protocol):
     Implementations must be deterministic: the facade caches results.
     Backends may additionally expose ``maintenance_cost(query, index)``
     for write queries; the facade treats a missing method as
-    zero-maintenance (read-only backends).
+    zero-maintenance (read-only backends).  Maintenance must be zero
+    for a write on another table than the index's (:class:`WriteLoad`
+    sums only the index's own table).
     """
 
     def query_cost(self, query: Query, index: Index | None) -> float:
@@ -870,3 +875,42 @@ class Applicability:
                 costs = np.concatenate((costs, optimizer.pair_costs(chunk)))
             yield index, column, costs[: len(column)]
             costs = costs[len(column):]
+
+
+class WriteLoad:
+    """A workload's write queries, grouped by table in query order.
+
+    An index is maintained only by writes to its own table (the
+    maintenance of a write on another table is exactly ``0.0``), so the
+    load an index imposes is a sum over that table's writes alone.
+    """
+
+    def __init__(self, queries: Sequence[Query]) -> None:
+        self.queries = tuple(
+            query for query in queries if not query.is_select
+        )
+        by_table: dict[str, list[Query]] = {}
+        for query in self.queries:
+            by_table.setdefault(query.table_name, []).append(query)
+        self._by_table = {
+            table_name: tuple(writes)
+            for table_name, writes in by_table.items()
+        }
+
+    def __bool__(self) -> bool:
+        return bool(self.queries)
+
+    def on(self, table_name: str) -> tuple[Query, ...]:
+        """The writes to ``table_name``, in query order."""
+        return self._by_table.get(table_name, ())
+
+    def load(self, optimizer: WhatIfOptimizer, index: Index) -> float:
+        """``Σ b_q · m_q(index)`` over the writes to ``index``'s table,
+        summed in query order."""
+        return sum(
+            (
+                query.frequency * optimizer.maintenance_cost(query, index)
+                for query in self.on(index.table_name)
+            ),
+            0.0,
+        )

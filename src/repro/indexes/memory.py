@@ -12,6 +12,7 @@ plus one sorted value column per indexed attribute.
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Iterable
 
 from repro.exceptions import BudgetError
@@ -42,15 +43,34 @@ def configuration_memory(schema: Schema, indexes: Iterable[Index]) -> int:
     return sum(index_memory(schema, index) for index in indexes)
 
 
+_SINGLE_TOTALS: dict[int, tuple[weakref.ref, int]] = {}
+"""``id(schema)`` → (weak reference to the schema, its total); an entry
+leaves when its schema is collected.  Keyed by identity: hashing a
+paper-scale schema walks thousands of attributes."""
+
+
 def single_attribute_total_memory(schema: Schema) -> int:
     """Memory required to index every attribute individually.
 
-    The denominator of the relative budget ``A(w)`` (Eq. 10).
+    The denominator of the relative budget ``A(w)`` (Eq. 10).  Schemas
+    are immutable, so it is summed once per schema object (every
+    request and every sweep point asks for it).
     """
-    return sum(
-        index_memory(schema, Index(attribute.table_name, (attribute.id,)))
-        for attribute in schema.iter_attributes()
-    )
+    key = id(schema)
+    entry = _SINGLE_TOTALS.get(key)
+    if entry is None or entry[0]() is not schema:
+        total = sum(
+            index_memory(
+                schema, Index(attribute.table_name, (attribute.id,))
+            )
+            for attribute in schema.iter_attributes()
+        )
+        entry = (
+            weakref.ref(schema, lambda _: _SINGLE_TOTALS.pop(key, None)),
+            total,
+        )
+        _SINGLE_TOTALS[key] = entry
+    return entry[1]
 
 
 def relative_budget(schema: Schema, w: float) -> float:

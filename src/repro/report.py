@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from repro.core.steps import SelectionResult
-from repro.cost.whatif import WhatIfOptimizer, WhatIfStatistics
+from repro.cost.whatif import WhatIfOptimizer, WhatIfStatistics, WriteLoad
 from repro.exceptions import ExperimentError
 from repro.indexes.index import Index
 from repro.indexes.memory import index_memory
@@ -175,15 +175,12 @@ def build_report(
             serves[best_index].append(query.query_id)
             regret[best_index] += query.frequency * (second_cost - best_cost)
 
-    writes = [query for query in workload if not query.is_select]
+    writes = WriteLoad(workload.queries)
     index_reports = []
     for index in sorted(
         configuration, key=lambda index: (index.table_name, index.attributes)
     ):
-        maintenance = sum(
-            query.frequency * optimizer.maintenance_cost(query, index)
-            for query in writes
-        )
+        maintenance = writes.load(optimizer, index)
         index_reports.append(
             IndexReport(
                 index=index,

@@ -10,7 +10,7 @@ show where the optimizer budget went.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 from repro.exceptions import TelemetryError
 
@@ -60,7 +60,12 @@ class StepEvent:
 
     def to_dict(self) -> dict:
         """Plain-dict record (with ``"type": "step"``) for JSON sinks."""
-        record = asdict(self)
+        # Every field is a scalar or a tuple of ints (listed below), so
+        # a shallow copy equals ``dataclasses.asdict`` without its
+        # recursive deep copy: served requests stream every event.
+        record = {
+            field.name: getattr(self, field.name) for field in fields(self)
+        }
         record["type"] = _EVENT_TYPE
         record["index_before"] = (
             list(self.index_before) if self.index_before else None

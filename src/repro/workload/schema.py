@@ -14,7 +14,6 @@ paper's notation where queries are subsets of ``{1, ..., N}``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -290,26 +289,6 @@ class Schema:
     def attributes_of_table(self, table_name: str) -> tuple[Attribute, ...]:
         """All attributes of the named table."""
         return self.table(table_name).attributes
-
-    # ------------------------------------------------------------------
-    # Derived quantities
-    # ------------------------------------------------------------------
-
-    def single_attribute_index_memory_total(self) -> int:
-        """Memory needed to index every attribute individually.
-
-        This is the denominator of the paper's relative budget definition
-        (Eq. 10): ``A(w) = w * sum over all single-attribute indexes p_k``.
-        The per-index memory follows Appendix B(ii); see
-        :mod:`repro.indexes.memory` for the authoritative implementation —
-        this convenience mirrors it to avoid an import cycle.
-        """
-        total = 0
-        for attribute in self.iter_attributes():
-            n = self._tables[attribute.table_name].row_count
-            position_list = math.ceil(math.ceil(math.log2(n)) * n / 8)
-            total += position_list + attribute.value_size * n
-        return total
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

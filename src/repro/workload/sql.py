@@ -54,27 +54,38 @@ _ASSIGNMENT = re.compile(
 )
 
 
-def _resolve(schema: Schema, table_name: str, column: str, sql: str) -> int:
-    table = (
-        schema.table(table_name)
-        if schema.has_table(table_name)
-        else None
-    )
-    if table is None:
-        raise WorkloadError(
-            f"unknown table {table_name!r} in template: {sql!r}"
-        )
-    for attribute in table.attributes:
-        if attribute.name.upper() == column.upper():
-            return attribute.id
-    raise WorkloadError(
-        f"unknown column {column!r} on table {table_name!r} in "
-        f"template: {sql!r}"
-    )
+class _Columns:
+    """Column resolution against one schema: per table, one map from the
+    upper-cased column name to its attribute id, built on first use.
+    Names fold with ``str.upper``; on a collision the first attribute of
+    the table wins."""
+
+    def __init__(self, schema: Schema) -> None:
+        self._schema = schema
+        self._tables: dict[str, dict[str, int]] = {}
+
+    def resolve(self, table_name: str, column: str, sql: str) -> int:
+        columns = self._tables.get(table_name)
+        if columns is None:
+            if not self._schema.has_table(table_name):
+                raise WorkloadError(
+                    f"unknown table {table_name!r} in template: {sql!r}"
+                )
+            columns = {}
+            for attribute in self._schema.table(table_name).attributes:
+                columns.setdefault(attribute.name.upper(), attribute.id)
+            self._tables[table_name] = columns
+        attribute_id = columns.get(column.upper())
+        if attribute_id is None:
+            raise WorkloadError(
+                f"unknown column {column!r} on table {table_name!r} in "
+                f"template: {sql!r}"
+            )
+        return attribute_id
 
 
 def _parse_where(
-    schema: Schema, table_name: str, where: str, sql: str
+    columns: _Columns, table_name: str, where: str, sql: str
 ) -> set[int]:
     attribute_ids: set[int] = set()
     for predicate in re.split(r"\s+AND\s+", where, flags=re.IGNORECASE):
@@ -86,7 +97,7 @@ def _parse_where(
                 "with AND are supported)"
             )
         attribute_ids.add(
-            _resolve(schema, table_name, match.group("column"), sql)
+            columns.resolve(table_name, match.group("column"), sql)
         )
     return attribute_ids
 
@@ -102,6 +113,12 @@ def parse_template(
         For statements outside the supported dialect, unknown tables or
         columns, or SELECT/UPDATE statements without any predicate.
     """
+    return _parse(_Columns(schema), sql, query_id, frequency)
+
+
+def _parse(
+    columns: _Columns, sql: str, query_id: int, frequency: float
+) -> Query:
     select = _SELECT.match(sql)
     if select is not None:
         table_name = select.group("table")
@@ -111,7 +128,7 @@ def parse_template(
                 f"SELECT without WHERE accesses no indexed attributes: "
                 f"{sql!r}"
             )
-        attributes = _parse_where(schema, table_name, where, sql)
+        attributes = _parse_where(columns, table_name, where, sql)
         return Query(
             query_id, table_name, frozenset(attributes), frequency
         )
@@ -128,13 +145,11 @@ def parse_template(
                     f"template: {sql!r}"
                 )
             attributes.add(
-                _resolve(
-                    schema, table_name, match.group("column"), sql
-                )
+                columns.resolve(table_name, match.group("column"), sql)
             )
         where = update.group("where")
         if where:
-            attributes |= _parse_where(schema, table_name, where, sql)
+            attributes |= _parse_where(columns, table_name, where, sql)
         return Query(
             query_id,
             table_name,
@@ -147,7 +162,7 @@ def parse_template(
     if insert is not None:
         table_name = insert.group("table")
         attributes = {
-            _resolve(schema, table_name, column.strip(), sql)
+            columns.resolve(table_name, column.strip(), sql)
             for column in insert.group("columns").split(",")
         }
         return Query(
@@ -180,6 +195,7 @@ def workload_from_sql(
         pair (naming its position), a frequency that is not a positive
         finite number, or a template :func:`parse_template` rejects.
     """
+    columns = _Columns(schema)
     queries: list[Query] = []
     for position, entry in enumerate(templates):
         if isinstance(entry, str):
@@ -195,9 +211,5 @@ def workload_from_sql(
                 f"template entry {position} must be an SQL string or an "
                 f"(sql, frequency) pair, got {entry!r}"
             )
-        queries.append(
-            parse_template(
-                schema, sql, query_id=position, frequency=frequency
-            )
-        )
+        queries.append(_parse(columns, sql, position, frequency))
     return Workload(schema, queries)

@@ -174,6 +174,53 @@ class TestBenefitTable:
         # Equal ratio and benefit: deterministic key picks attribute 0.
         assert best[0] is priced
 
+    def test_oversized_moves_return_when_room_grows(self, tiny_schema):
+        """A move that does not fit one round is not dropped: a later
+        round with more room (``prune_unused`` frees memory) still
+        considers it."""
+        current = np.array([100.0, 100.0])
+        # Bound ratio 10, but 100 bytes.
+        big = _move(
+            tiny_schema, (0,), [0], [0.0], weights=[10.0],
+            memory_delta=100, lazy=True,
+        )
+        # Bound ratio 5, exact ratio 2.5.
+        small = _move(
+            tiny_schema, (1,), [1], [50.0], memory_delta=20, lazy=True
+        )
+        table = BenefitTable()
+        table.register(big)
+        table.register(small)
+        best, _ = table.best(current, max_memory_delta=50)
+        assert best[0] is small
+        assert not big.priced
+        table.retire(small)
+        best, _ = table.best(current, max_memory_delta=200)
+        assert best[0] is big
+        assert best[1] == pytest.approx(1000.0)
+
+    def test_extend_run_leaves_no_reference_cycles(self, small_workload):
+        """Moves (and their cost arrays) are freed by reference counting
+        as soon as a run ends, not at the next cyclic collection."""
+        import gc
+
+        from repro.core.extend import ExtendAlgorithm
+        from repro.indexes.memory import relative_budget
+
+        optimizer = WhatIfOptimizer(
+            AnalyticalCostSource(CostModel(small_workload.schema))
+        )
+        budget = relative_budget(small_workload.schema, 0.3)
+        gc.collect()
+        gc.disable()
+        try:
+            ExtendAlgorithm(
+                optimizer, prune_unused=True, missed_opportunities=2
+            ).select(small_workload, budget)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_invalidate_marks_only_overlapping_entries(self, tiny_schema):
         current = np.array([10.0, 20.0, 30.0])
         touched = _move(tiny_schema, (0,), [0, 1], [1.0, 2.0])

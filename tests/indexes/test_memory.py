@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import math
 
 import pytest
 
 from repro.exceptions import BudgetError
+from repro.indexes import memory
 from repro.indexes.index import Index
 from repro.indexes.memory import (
     configuration_memory,
@@ -14,6 +16,7 @@ from repro.indexes.memory import (
     relative_budget,
     single_attribute_total_memory,
 )
+from repro.workload.schema import Schema
 
 
 class TestIndexMemory:
@@ -45,14 +48,37 @@ class TestIndexMemory:
         )
 
     def test_single_attribute_total(self, tiny_schema):
+        one_row = Schema.build(
+            {"ONE": (1, [("A", 1, 4), ("B", 1, 2)]), "T": (8, [("C", 2, 1)])}
+        )
+        for schema in (tiny_schema, one_row):
+            total = single_attribute_total_memory(schema)
+            per_attribute = [
+                index_memory(schema, Index(a.table_name, (a.id,)))
+                for a in schema.iter_attributes()
+            ]
+            assert total == sum(per_attribute)
+
+    def test_single_attribute_total_is_summed_once_per_schema(
+        self, tiny_schema, monkeypatch
+    ):
         total = single_attribute_total_memory(tiny_schema)
-        per_attribute = [
-            index_memory(
-                tiny_schema, Index(a.table_name, (a.id,))
-            )
-            for a in tiny_schema.iter_attributes()
-        ]
-        assert total == sum(per_attribute)
+
+        def summed_again(*_):
+            raise AssertionError("total summed twice for one schema")
+
+        monkeypatch.setattr(memory, "index_memory", summed_again)
+        assert single_attribute_total_memory(tiny_schema) == total
+        assert relative_budget(tiny_schema, 0.5) == 0.5 * total
+
+    def test_cached_total_leaves_with_its_schema(self, tiny_schema):
+        schema = Schema(tiny_schema.tables)
+        single_attribute_total_memory(schema)
+        key = id(schema)
+        assert key in memory._SINGLE_TOTALS
+        del schema
+        gc.collect()
+        assert key not in memory._SINGLE_TOTALS
 
 
 class TestRelativeBudget:

@@ -338,3 +338,45 @@ class TestRecommendSweep:
         assert metrics["sweep.completed_points"] == len(self.SHARES)
         assert metrics["sweep.backend_calls"] > 0
         assert metrics["sweep.partial"] == 0
+
+
+def test_default_paths_never_import_scipy():
+    """Only CoPhy needs scipy: importing the package, a default
+    recommend and a served recommend leave it unimported (it takes
+    longer to import than a warm request takes to answer)."""
+    import os
+    import subprocess
+    import sys
+    import textwrap
+    from pathlib import Path
+
+    script = textwrap.dedent(
+        """
+        import sys
+        import repro
+        from repro.service import AdvisorService, RecommendRequest
+
+        workload = repro.generate_workload(
+            repro.GeneratorConfig(tables=2, attributes_per_table=6,
+                                  queries_per_table=4, seed=7)
+        )
+        repro.IndexAdvisor(workload.schema).recommend(
+            workload, budget_share=0.3
+        )
+        with AdvisorService(workload.schema) as service:
+            service.register_workload("w", workload)
+            service.recommend(RecommendRequest(workload="w",
+                                               budget_share=0.3))
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """
+    )
+    source = Path(__file__).resolve().parents[1] / "src"
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(source)},
+        timeout=120,
+    )
+    assert completed.stdout.strip() == "[]"

@@ -439,6 +439,18 @@ class TestBudgetSweep:
         assert excinfo.value.code == 2
         assert "--budget-sweep" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", ["0.3", "0.5"])
+    def test_budget_and_sweep_are_mutually_exclusive(self, capsys, budget):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                self._BASE
+                + ["--budget", budget, "--budget-sweep", "0.1:0.5:3"]
+            )
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--budget-sweep" in err
+        assert "not allowed with argument --budget" in err
+
     def test_rejects_non_extend_algorithms(self, capsys):
         exit_code = main(
             self._BASE

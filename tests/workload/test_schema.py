@@ -155,13 +155,3 @@ class TestSchema:
         clone = Schema(tiny_schema.tables)
         assert clone == tiny_schema
         assert hash(clone) == hash(tiny_schema)
-
-    def test_single_attribute_memory_total_matches_memory_module(
-        self, tiny_schema
-    ):
-        from repro.indexes.memory import single_attribute_total_memory
-
-        assert (
-            tiny_schema.single_attribute_index_memory_total()
-            == single_attribute_total_memory(tiny_schema)
-        )

@@ -6,6 +6,7 @@ import pytest
 
 from repro.exceptions import WorkloadError
 from repro.workload.query import QueryKind
+from repro.workload.schema import Schema
 from repro.workload.sql import parse_template, workload_from_sql
 
 
@@ -81,6 +82,29 @@ class TestParseSelect:
             parse_template(
                 tiny_schema, "SELECT * FROM ORDERS WHERE NOPE = ?"
             )
+
+    def test_error_messages_name_the_template(self, tiny_schema):
+        sql = "SELECT * FROM ORDERS WHERE ID = ? AND nope = ?"
+        with pytest.raises(WorkloadError) as raised:
+            workload_from_sql(tiny_schema, ["SELECT * FROM NOPE WHERE A = ?"])
+        assert str(raised.value) == (
+            "unknown table 'NOPE' in template: "
+            "'SELECT * FROM NOPE WHERE A = ?'"
+        )
+        with pytest.raises(WorkloadError) as raised:
+            workload_from_sql(
+                tiny_schema, ["SELECT * FROM ORDERS WHERE ID = ?", sql]
+            )
+        assert str(raised.value) == (
+            f"unknown column 'nope' on table 'ORDERS' in template: {sql!r}"
+        )
+
+    def test_case_folding_collision_resolves_to_first_column(self):
+        schema = Schema.build(
+            {"T": (100, [("ab", 10, 4), ("AB", 10, 4), ("c", 10, 4)])}
+        )
+        query = parse_template(schema, "SELECT * FROM T WHERE Ab = ?")
+        assert query.attributes == frozenset({0})
 
 
 class TestParseUpdate:
