@@ -444,15 +444,7 @@ class _ConstructionState:
         self._weights = np.array(
             [query.frequency for query in queries], dtype=np.float64
         )
-        if getattr(optimizer, "supports_batch", False):
-            self._current = np.asarray(
-                optimizer.sequential_costs(queries), dtype=np.float64
-            )
-        else:
-            self._current = np.array(
-                [optimizer.sequential_cost(query) for query in queries],
-                dtype=np.float64,
-            )
+        self._current = optimizer.sequential_costs(queries)
         self._best_index: list[Index | None] = [None] * len(queries)
 
         # Inverted lists: attribute id -> positions of queries using it.
@@ -614,30 +606,13 @@ class _ConstructionState:
         optimizer = self._optimizer
         queries = self._queries
 
-        if getattr(optimizer, "supports_batch", False):
-
-            def price() -> np.ndarray:
-                # Affected positions always contain the index's leading
-                # attribute (by construction), so this prices the same
-                # applicable pairs the per-pair loop would.
-                return np.asarray(
-                    optimizer.index_costs(
-                        [queries[position] for position in positions],
-                        index,
-                    ),
-                    dtype=np.float64,
-                )
-
-        else:
-
-            def price() -> np.ndarray:
-                return np.array(
-                    [
-                        optimizer.index_cost(queries[position], index)
-                        for position in positions
-                    ],
-                    dtype=np.float64,
-                )
+        def price() -> np.ndarray:
+            # Affected positions always contain the index's leading
+            # attribute (by construction), so these are exactly the
+            # applicable pairs index_cost would price.
+            return optimizer.pair_costs(
+                [(queries[position], index) for position in positions]
+            )
 
         return price
 

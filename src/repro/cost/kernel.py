@@ -6,7 +6,7 @@ evaluation engine trimmed the *number* of what-if calls, that per-call
 interpretation is the remaining hot path on enterprise-scale workloads
 (and the whole cost of CoPhy-style ``cost_table`` pre-computation).
 This module compiles a workload once into flat numpy arrays and then
-prices *whole columns of queries per candidate* as batched array
+prices *many (query, index) pairs per call* as batched array
 expressions:
 
 * :class:`CompiledWorkload` — per-query statistics packed into padded
@@ -16,11 +16,12 @@ expressions:
   query the row count ``n``, ``log2(n)``, the table, the kind, and the
   precomputed sequential baseline ``f_j(0)``.
 * :class:`VectorizedCostSource` — a drop-in
-  :class:`~repro.cost.whatif.CostSource` that evaluates
-  ``f_j(0)``/``f_j(k)`` for many queries per call via cumulative-product
-  qualifying fractions, per-prefix log terms, and position-list output
-  terms — no per-row Python loops.  Single-pair ``query_cost`` calls
-  are served from the same compiled rows, so a query always prices
+  :class:`~repro.cost.whatif.CostSource` whose one batch method,
+  ``pair_costs``, evaluates ``f_j(0)``/``f_j(k)`` for many
+  ``(query, index)`` pairs per call via cumulative-product qualifying
+  fractions, per-prefix log terms, and position-list output terms — no
+  per-row Python loops.  A single-pair ``query_cost`` call runs the
+  same array code on a one-pair batch, so a query always prices
   identically whether reached via a batch or a scalar entry point.
 
 **Equivalence contract.**  For every ``(query, index)`` pair the
@@ -61,11 +62,11 @@ _POSITION_LIST_ENTRY_BYTES = 4.0
 class KernelStatistics:
     """Counters of compiled-kernel usage (telemetry-bridgeable).
 
-    ``batch_calls``/``batch_pairs`` count invocations of the batch
-    entry points and the ``(query, index)`` pairs they priced;
-    ``scalar_calls`` counts single-pair ``query_cost`` calls that fell
-    through to the kernel one row at a time (ideally near zero once the
-    facade routes everything through batches).
+    ``batch_calls``/``batch_pairs`` count ``pair_costs`` invocations
+    and the ``(query, index)`` pairs they priced; ``scalar_calls``
+    counts single-pair ``query_cost`` calls that fell through to the
+    kernel one row at a time (ideally near zero once the facade routes
+    everything through batches).
     """
 
     compiled_workloads: int = 0
@@ -125,11 +126,6 @@ class CompiledWorkload:
         return self.attribute_ids.shape[1]
 
 
-def _query_key(query: Query) -> tuple:
-    """Content identity of a query (costs ignore id and frequency)."""
-    return query.cache_key
-
-
 def _residual_costs(
     row_count: np.ndarray,
     selectivity: np.ndarray,
@@ -163,11 +159,11 @@ class VectorizedCostSource:
     """Batch-capable cost source backed by compiled workload packs.
 
     Implements the :class:`~repro.cost.whatif.CostSource` protocol plus
-    the batch extension the facade feature-detects
-    (``sequential_costs`` / ``query_costs`` / ``maintenance_costs``).
-    Queries are compiled on first sight and permanently bound to one
-    pack row, so repeated pricing of the same query — batched or not,
-    whole-workload or subset — is deterministic down to the bit.
+    the one batch method the facade feature-detects, ``pair_costs``.
+    Queries are compiled on first sight and their content is
+    permanently bound to one pack row, so repeated pricing of the same
+    query — batched or not, whole-workload or subset, the same object
+    or a content-equal one — is deterministic down to the bit.
 
     Maintenance and context-based multi-index costs delegate to the
     scalar :class:`~repro.cost.model.CostModel` (they are cheap, cached
@@ -196,21 +192,10 @@ class VectorizedCostSource:
                 * math.log2(max(attribute.distinct_values, 2))
             )
         # Query content key -> (pack, row).  First registration wins so
-        # every later evaluation reuses the exact same packed row.
+        # every later evaluation reuses the exact same packed row.  Keyed
+        # by content only, so the kernel keeps no query object alive.
         self._rows: dict[tuple, tuple[CompiledWorkload, int]] = {}
-        # Per-object shortcut over _rows: pair sweeps look the same
-        # query objects up thousands of times, and a dict keyed by
-        # id(query) (C-hashed int, no Python __hash__ call) skips
-        # rebuilding content keys.  _memo_refs keeps every registered
-        # query alive so its id can never be recycled.
-        self._placement_memo: dict[int, tuple[CompiledWorkload, int]] = {}
-        self._memo_refs: list[Query] = []
         self._order_cache: dict[frozenset, tuple[int, ...]] = {}
-        # Index -> per-truncation (sum of a_i*log2(d_i), prod of s_i),
-        # accumulated sequentially exactly like the scalar model.
-        self._prefix_cache: dict[
-            Index, tuple[tuple[float, ...], tuple[float, ...]]
-        ] = {}
         self.statistics = KernelStatistics()
         # Guards pack compilation/registration; numpy evaluation itself
         # is pure and runs unlocked.
@@ -229,10 +214,8 @@ class VectorizedCostSource:
         """``f_j(k)`` (or ``f_j(0)``) for one pair, from the pack row."""
         self.statistics.scalar_calls += 1
         pack, row = self._placements((query,))[0]
-        if index is None:
-            return float(pack.sequential[row])
         rows = np.array([row], dtype=np.intp)
-        return float(self._index_costs_on(pack, rows, index)[0])
+        return float(self._pair_costs_on(pack, rows, [index])[0])
 
     def maintenance_cost(self, query: Query, index: Index) -> float:
         """Per-execution maintenance (scalar model, bit-identical)."""
@@ -245,51 +228,8 @@ class VectorizedCostSource:
         return self._model.multi_index_cost(query, indexes)
 
     # ------------------------------------------------------------------
-    # Batch entry points
+    # Batch entry point
     # ------------------------------------------------------------------
-
-    def sequential_costs(self, queries: Sequence[Query]) -> np.ndarray:
-        """``f_j(0)`` for a whole column of queries."""
-        queries = tuple(queries)
-        placements = self._placements(queries)
-        self.statistics.batch_calls += 1
-        self.statistics.batch_pairs += len(queries)
-        results = np.empty(len(queries), dtype=np.float64)
-        for position, (pack, row) in enumerate(placements):
-            results[position] = pack.sequential[row]
-        return results
-
-    def query_costs(
-        self, queries: Sequence[Query], index: Index | None
-    ) -> np.ndarray:
-        """``f_j(k)`` for a whole column of queries under one index."""
-        queries = tuple(queries)
-        placements = self._placements(queries)
-        self.statistics.batch_calls += 1
-        self.statistics.batch_pairs += len(queries)
-        results = np.empty(len(queries), dtype=np.float64)
-        if index is None:
-            for position, (pack, row) in enumerate(placements):
-                results[position] = pack.sequential[row]
-            return results
-        # Group by pack (queries first seen in different batches live
-        # in different packs); per-row arithmetic is identical across
-        # groupings, so scatter-gather preserves determinism.
-        groups: dict[int, tuple[CompiledWorkload, list[int], list[int]]]
-        groups = {}
-        for position, (pack, row) in enumerate(placements):
-            entry = groups.get(id(pack))
-            if entry is None:
-                entry = (pack, [], [])
-                groups[id(pack)] = entry
-            entry[1].append(position)
-            entry[2].append(row)
-        for pack, positions, rows in groups.values():
-            costs = self._index_costs_on(
-                pack, np.asarray(rows, dtype=np.intp), index
-            )
-            results[np.asarray(positions, dtype=np.intp)] = costs
-        return results
 
     def pair_costs(
         self, pairs: Sequence[tuple[Query, Index | None]]
@@ -299,9 +239,10 @@ class VectorizedCostSource:
         The whole-table entry point: a candidate×query cost table
         flattens into one pair list and prices in a single array sweep,
         instead of one (overhead-dominated) batch call per candidate
-        column.  Per pair the arithmetic is element-wise identical to
-        :meth:`query_costs` / :meth:`query_cost`, so all three entry
-        points return bitwise-equal costs for the same pair.
+        column.  A ``None`` index prices the sequential baseline
+        ``f_j(0)``.  :meth:`query_cost` runs the same arithmetic on a
+        one-pair batch, so both entry points return bitwise-equal costs
+        for the same pair.
         """
         pairs = tuple(pairs)
         self.statistics.batch_calls += 1
@@ -342,21 +283,6 @@ class VectorizedCostSource:
             results[np.asarray(positions, dtype=np.intp)] = costs
         return results
 
-    def maintenance_costs(
-        self, queries: Sequence[Query], index: Index
-    ) -> np.ndarray:
-        """Maintenance for a column of queries (scalar delegate)."""
-        queries = tuple(queries)
-        self.statistics.batch_calls += 1
-        self.statistics.batch_pairs += len(queries)
-        return np.array(
-            [
-                self._model.maintenance_cost(query, index)
-                for query in queries
-            ],
-            dtype=np.float64,
-        )
-
     # ------------------------------------------------------------------
     # Compilation
     # ------------------------------------------------------------------
@@ -366,42 +292,23 @@ class VectorizedCostSource:
     ) -> list[tuple[CompiledWorkload, int]]:
         """Pack rows for the queries, compiling unseen ones.
 
-        The per-object memo is read unlocked (placements are written
-        once under the lock and never mutated); only queries missing
-        from it take the locked compile-or-register path.
+        Placements are read unlocked (they are written once under the
+        lock and never mutated); only a batch with unseen queries takes
+        the locked compile-or-register path.
         """
-        memo = self._placement_memo
-        memo_get = memo.get
-        placements = [
-            memo_get(id(query)) for query in queries
-        ]
+        rows_get = self._rows.get
+        placements = [rows_get(query.cache_key) for query in queries]
         if None not in placements:
             return placements
         with self._lock:
             rows = self._rows
-            refs = self._memo_refs
-            fresh: list[Query] = []
-            seen: set[tuple] = set()
-            for position, placement in enumerate(placements):
-                if placement is not None:
-                    continue
-                key = queries[position].cache_key
-                if key in rows or key in seen:
-                    continue
-                seen.add(key)
-                fresh.append(queries[position])
+            fresh: dict[tuple, Query] = {}
+            for query, placement in zip(queries, placements):
+                if placement is None and query.cache_key not in rows:
+                    fresh.setdefault(query.cache_key, query)
             if fresh:
-                self._compile(fresh)
-            for position, placement in enumerate(placements):
-                if placement is None:
-                    query = queries[position]
-                    placement = rows[query.cache_key]
-                    key = id(query)
-                    if key not in memo:
-                        memo[key] = placement
-                        refs.append(query)
-                    placements[position] = placement
-        return placements
+                self._compile(list(fresh.values()))
+            return [rows[query.cache_key] for query in queries]
 
     def _compile(self, queries: list[Query]) -> None:
         """Pack content-distinct queries into one new pack (locked)."""
@@ -453,7 +360,7 @@ class VectorizedCostSource:
             sequential=sequential,
         )
         for position, query in enumerate(queries):
-            self._rows[_query_key(query)] = (pack, position)
+            self._rows[query.cache_key] = (pack, position)
         statistics = self.statistics
         statistics.compiled_workloads += 1
         statistics.compiled_queries += count
@@ -477,96 +384,9 @@ class VectorizedCostSource:
             self._order_cache[key] = ordered
         return ordered
 
-    def _prefix_terms(
-        self, index: Index
-    ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """Per-truncation index-access scalars, scalar-accumulated."""
-        cached = self._prefix_cache.get(index)
-        if cached is None:
-            terms: list[float] = []
-            fractions: list[float] = []
-            term = 0.0
-            fraction = 1.0
-            for attribute_id in index.attributes:
-                term += float(self._size_log2d_by_id[attribute_id])
-                fraction *= float(self._sel_by_id[attribute_id])
-                terms.append(term)
-                fractions.append(fraction)
-            cached = (tuple(terms), tuple(fractions))
-            self._prefix_cache[index] = cached
-        return cached
-
     # ------------------------------------------------------------------
     # Batched f_j(k)
     # ------------------------------------------------------------------
-
-    def _index_costs_on(
-        self, pack: CompiledWorkload, rows: np.ndarray, index: Index
-    ) -> np.ndarray:
-        """``f_j(k)`` for selected pack rows under one index.
-
-        Evaluates every truncation ``L = 1..K`` of the usable prefix in
-        one array expression per ``L``: the residual-scan mask starts at
-        the full attribute row and loses the ``L``-th index attribute
-        incrementally (only for rows whose usable prefix reaches ``L``),
-        so each ``L`` costs one masked cumprod instead of a re-sort.
-        Rows where the index is inapplicable (other table, INSERT, or
-        leading attribute absent) keep the sequential baseline — the
-        same "a harmful index is simply not used" clamp as the scalar
-        model.
-        """
-        attribute_ids = pack.attribute_ids[rows]
-        best = pack.sequential[rows].copy()
-        applicable = (
-            (
-                pack.table_code[rows]
-                == self._table_codes.get(index.table_name, -1)
-            )
-            & ~pack.is_insert[rows]
-            & (attribute_ids == index.attributes[0]).any(axis=1)
-        )
-        if not applicable.any():
-            return best
-        selectivity = pack.selectivity[rows]
-        value_size = pack.value_size[rows]
-        row_count = pack.row_count[rows]
-        log2_rows = pack.log2_rows[rows]
-        attributes = index.attributes
-        member = np.stack(
-            [
-                (attribute_ids == attribute_id).any(axis=1)
-                for attribute_id in attributes
-            ]
-        )
-        prefix_ok = np.logical_and.accumulate(member, axis=0)
-        terms, fractions = self._prefix_terms(index)
-        mask = pack.valid[rows].copy()
-        for length in range(1, len(attributes) + 1):
-            active = applicable & prefix_ok[length - 1]
-            if not active.any():
-                break
-            # Descending one more prefix attribute removes it from the
-            # residual scan (only for rows that actually reach L).
-            removed = (
-                attribute_ids == attributes[length - 1]
-            ) & active[:, None]
-            mask &= ~removed
-            access = (
-                log2_rows
-                + terms[length - 1]
-                + _POSITION_LIST_ENTRY_BYTES
-                * row_count
-                * fractions[length - 1]
-            )
-            residual = _residual_costs(
-                row_count,
-                selectivity,
-                value_size,
-                mask,
-                fractions[length - 1],
-            )
-            np.minimum(best, access + residual, out=best, where=active)
-        return best
 
     def _pair_costs_on(
         self, pack: CompiledWorkload, rows: np.ndarray, indexes: list
@@ -579,9 +399,15 @@ class VectorizedCostSource:
         short candidates simply stop participating early; ``None``
         entries get an all-sentinel row and keep their sequential
         baseline), then gathered per pair.  The truncation loop runs
-        once over all pairs per prefix length — element-wise the same
-        operations, in the same order, as :meth:`_index_costs_on`, so
-        results are bitwise identical to the per-candidate path.
+        once over all pairs per prefix length: it evaluates every
+        truncation ``L = 1..K`` of a pair's usable prefix, removing the
+        ``L``-th index attribute from the residual-scan mask as it
+        descends, and keeps the minimum.  Pairs where the index is
+        inapplicable (other table, INSERT, or leading attribute absent)
+        keep the sequential baseline — the same "a harmful index is
+        simply not used" clamp as the scalar model.  A pair's arithmetic
+        is element-wise and does not depend on the other pairs of its
+        batch, so it prices bitwise identically alone or in any batch.
         """
         best = pack.sequential[rows].copy()
         # Distinct candidates by object identity (ids stay unique while
@@ -624,8 +450,7 @@ class VectorizedCostSource:
             index_table[code] = table_codes.get(index.table_name, -1)
         # Prefix terms and qualifying fractions for every distinct
         # index at once: cumulative sum/product along the attribute
-        # axis accumulate left-to-right exactly like the sequential
-        # loop in _prefix_terms, so both tabulations agree bitwise.
+        # axis accumulate left-to-right, like the scalar model's loop.
         present = index_attrs >= 0
         clipped = np.where(present, index_attrs, 0)
         index_terms = np.cumsum(

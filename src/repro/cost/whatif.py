@@ -5,10 +5,11 @@ approaches" (Section I); the paper's scalability argument rests on the
 number of such calls (≈ ``2·Q·q̄`` for Algorithm 1 versus
 ``≈ Q·q̄·|I|/N`` for CoPhy, Section III-A).  This module provides:
 
-* :class:`CostSource` — the protocol a cost backend implements.
-  Backends: :class:`AnalyticalCostSource` (Appendix B model), the
-  compiled batch kernel in :mod:`repro.cost.kernel`, and the
-  measured-execution source in :mod:`repro.engine.measured`.
+* :class:`CostSource` — the protocol a cost backend implements: one
+  required per-pair method and one optional batch method,
+  ``pair_costs``.  Backends: :class:`AnalyticalCostSource` (Appendix B
+  model), the compiled batch kernel in :mod:`repro.cost.kernel`, and
+  the measured-execution source in :mod:`repro.engine.measured`.
 * :class:`WhatIfOptimizer` — a caching facade that counts *backend* calls
   (cache hits are free, exactly like the caching the paper describes in
   Fig. 1's notes: "required what-if calls from previous steps can be
@@ -62,12 +63,13 @@ class CostSource(Protocol):
     def query_cost(self, query: Query, index: Index | None) -> float:
         """``f_j(k)``, or ``f_j(0)`` when ``index`` is ``None``.
 
-        Backends may additionally expose batch twins —
-        ``query_costs(queries, index)``, ``sequential_costs(queries)``
-        and ``maintenance_costs(queries, index)``, each returning one
-        float per query — which the facade feature-detects and routes
-        whole cost columns through (the compiled kernel in
-        :mod:`repro.cost.kernel` is the batch-capable backend).
+        Backends may additionally expose one batch method,
+        ``pair_costs(pairs)``, returning ``query_cost`` of every
+        ``(query, index_or_None)`` pair as one float array.  The facade
+        feature-detects it and prices every cost column through it (the
+        compiled kernel in :mod:`repro.cost.kernel` is the
+        batch-capable backend); without it, the facade asks
+        ``query_cost`` pair by pair.
         """
         ...  # pragma: no cover - protocol
 
@@ -256,13 +258,13 @@ class WhatIfOptimizer:
     def supports_batch(self) -> bool:
         """Whether the backend can price whole cost columns per call.
 
-        True when the source exposes ``query_costs`` (the compiled
+        True when the source exposes ``pair_costs`` (the compiled
         kernel, or a resilient wrapper around it).  Callers use this to
         decide whether pre-warming whole columns is cheap; the batch
         methods below work either way (they fall back to per-pair
         lookups on scalar backends).
         """
-        return getattr(self._source, "query_costs", None) is not None
+        return getattr(self._source, "pair_costs", None) is not None
 
     def reset_statistics(self) -> None:
         """Zero the call counters (the cache itself is kept)."""
@@ -432,59 +434,27 @@ class WhatIfOptimizer:
         return self._lookup(query, index)
 
     def sequential_costs(self, queries: Sequence[Query]) -> np.ndarray:
-        """``f_j(0)`` for a whole column of queries.
-
-        One backend batch call prices every uncached query; accounting
-        matches the per-pair path exactly (first uncached occurrence of
-        a content key counts as a call, duplicates and cached entries as
-        cache hits).
-        """
-        return self._lookup_batch(tuple(queries), None)
-
-    def index_costs(
-        self, queries: Sequence[Query], index: Index
-    ) -> np.ndarray:
-        """``f_j(k)`` for a whole column of queries under one index.
-
-        Semantics per query are identical to :meth:`index_cost`:
-        inapplicable pairs price at the sequential baseline (served from
-        the sequential column, never a backend index call).
-        """
-        queries = tuple(queries)
-        applicable_positions: list[int] = []
-        applicable: list[Query] = []
-        other_positions: list[int] = []
-        other: list[Query] = []
-        for position, query in enumerate(queries):
-            if index.is_applicable_to(query):
-                applicable_positions.append(position)
-                applicable.append(query)
-            else:
-                other_positions.append(position)
-                other.append(query)
-        results = np.empty(len(queries), dtype=np.float64)
-        if applicable:
-            results[applicable_positions] = self._lookup_batch(
-                tuple(applicable), index
-            )
-        if other:
-            results[other_positions] = self._lookup_batch(
-                tuple(other), None
-            )
-        return results
+        """``f_j(0)`` for a whole column of queries: one
+        :meth:`pair_costs` call over ``(query, None)`` pairs."""
+        return self.pair_costs([(query, None) for query in queries])
 
     def pair_costs(
         self, pairs: Sequence[tuple[Query, Index | None]]
     ) -> np.ndarray:
         """Cost of arbitrary ``(query, index_or_None)`` pairs at once.
 
-        The whole-table lookup: :meth:`Applicability.price` flattens
-        many candidate columns into bounded pair lists so a
-        pair-capable backend prices thousands of columns per sweep.
-        Pairs are passed through as given — callers are
-        expected to pre-filter inapplicable pairs the way
+        The facade's one batch lookup: :meth:`Applicability.price`
+        flattens many candidate columns into bounded pair lists so a
+        pair-capable backend prices thousands of columns per sweep, and
+        :meth:`sequential_costs` and Extend's move pricing send their
+        columns through it too.  Pairs are passed through as given —
+        callers are expected to pre-filter inapplicable pairs the way
         :meth:`index_cost` would (pair them with ``None`` instead).
-        Accounting matches the per-pair path exactly.
+        One backend call prices every uncached distinct pair; accounting
+        matches the per-pair path exactly (first uncached occurrence of
+        a content key counts as a call, duplicates and cached entries as
+        cache hits), and so does the per-pair fallback on backends
+        without ``pair_costs``.
         """
         pairs = tuple(pairs)
         backend_pairs = getattr(self._source, "pair_costs", None)
@@ -762,55 +732,6 @@ class WhatIfOptimizer:
         with self._lock:
             self._statistics.calls += 1
             return self._admit(key, cost)
-
-    def _lookup_batch(
-        self, queries: tuple[Query, ...], index: Index | None
-    ) -> np.ndarray:
-        """Cached column lookup with per-pair-identical accounting.
-
-        Cached keys count as cache hits; content-duplicate uncached
-        queries trigger one backend evaluation (a call) and hits for
-        the duplicates — exactly what the per-pair path would count.
-        Falls back to per-pair lookups on batch-less backends.
-        """
-        backend_batch = getattr(self._source, "query_costs", None)
-        if backend_batch is None:
-            return np.array(
-                [self._lookup(query, index) for query in queries],
-                dtype=np.float64,
-            )
-        results: list[float | None] = [None] * len(queries)
-        missing: dict[tuple, tuple[Query, list[int]]] = {}
-        index_key = None if index is None else index.attributes
-        with self._lock:
-            for position, query in enumerate(queries):
-                key = (query.cache_key, index_key)
-                cached = self._cache.get(key)
-                if cached is not None:
-                    self._statistics.cache_hits += 1
-                    if self._max_entries is not None:
-                        self._touch(key)
-                    results[position] = cached
-                    continue
-                entry = missing.get(key)
-                if entry is None:
-                    missing[key] = (query, [position])
-                else:
-                    entry[1].append(position)
-        if missing:
-            # The batch backend call runs unlocked, like _lookup's.
-            subset = tuple(entry[0] for entry in missing.values())
-            costs = backend_batch(subset, index)
-            with self._lock:
-                for (key, (_, positions)), cost in zip(
-                    missing.items(), costs
-                ):
-                    self._statistics.calls += 1
-                    self._statistics.cache_hits += len(positions) - 1
-                    stored = self._admit(key, float(cost))
-                    for position in positions:
-                        results[position] = stored
-        return np.array(results, dtype=np.float64)
 
 
 PAIR_CHUNK = 16_384

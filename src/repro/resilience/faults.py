@@ -140,17 +140,10 @@ class FaultInjectingCostSource:
         self.statistics = FaultStatistics()
         # Mirror the wrapped source's optional capabilities (see
         # ResilientCostSource for why over-advertising breaks
-        # feature detection in WhatIfOptimizer).  Batch entry points
-        # are mirrored too, so vectorized pricing still flows through
-        # the injector instead of silently bypassing it.
-        for method in (
-            "maintenance_cost",
-            "multi_index_cost",
-            "query_costs",
-            "sequential_costs",
-            "maintenance_costs",
-            "pair_costs",
-        ):
+        # feature detection in WhatIfOptimizer).  The batch method is
+        # mirrored too, so vectorized pricing still flows through the
+        # injector instead of silently bypassing it.
+        for method in ("maintenance_cost", "multi_index_cost", "pair_costs"):
             if getattr(source, method, None) is None:
                 setattr(self, method, None)
 
@@ -174,28 +167,11 @@ class FaultInjectingCostSource:
         self._inject("multi_index_cost")
         return self._source.multi_index_cost(query, indexes)
 
-    # Batch entry points: a whole column is one backend invocation, so
-    # it consumes exactly one fault-plan outcome (one RNG draw or
-    # script token) — mirroring how the resilient wrapper treats a
-    # batch as one retry/timeout unit.
-
-    def query_costs(self, queries, index):
-        """Batch ``f_j(k)`` with one injected outcome for the batch."""
-        self._inject("query_costs")
-        return self._source.query_costs(queries, index)
-
-    def sequential_costs(self, queries):
-        """Batch ``f_j(0)`` with one injected outcome for the batch."""
-        self._inject("sequential_costs")
-        return self._source.sequential_costs(queries)
-
-    def maintenance_costs(self, queries, index):
-        """Batch maintenance with one injected outcome for the batch."""
-        self._inject("maintenance_costs")
-        return self._source.maintenance_costs(queries, index)
-
     def pair_costs(self, pairs):
-        """Whole-table pairs with one injected outcome for the batch."""
+        """A pair batch is one backend invocation, so it consumes
+        exactly one fault-plan outcome (one RNG draw or script token) —
+        mirroring how the resilient wrapper treats a batch as one
+        retry/timeout unit."""
         self._inject("pair_costs")
         return self._source.pair_costs(pairs)
 

@@ -50,15 +50,6 @@ __all__ = ["ResilientCostSource"]
 
 _OPTIONAL_METHODS = ("maintenance_cost", "multi_index_cost")
 
-# Batch entry points (compiled-kernel backends) and the per-pair method
-# each one decomposes into for stale-cache keys and fallbacks.
-_BATCH_METHODS = {
-    "query_costs": "query_cost",
-    "sequential_costs": "query_cost",
-    "maintenance_costs": "maintenance_cost",
-    "pair_costs": "query_cost",
-}
-
 
 class ResilientCostSource:
     """Decorates a :class:`~repro.cost.whatif.CostSource` with retries,
@@ -118,13 +109,12 @@ class ResilientCostSource:
         for method in _OPTIONAL_METHODS:
             if not self._chain_supports(method):
                 setattr(self, method, None)
-        # Batch methods are advertised only when the PRIMARY implements
-        # them: a fallback-only batch capability would let whole columns
+        # The batch method is advertised only when the PRIMARY has it:
+        # a fallback-only batch capability would let whole columns
         # bypass the (possibly flaky, but authoritative) primary that
         # the per-pair path would have consulted.
-        for method in _BATCH_METHODS:
-            if getattr(self._source, method, None) is None:
-                setattr(self, method, None)
+        if getattr(self._source, "pair_costs", None) is None:
+            self.pair_costs = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -187,11 +177,11 @@ class ResilientCostSource:
         return self._call("multi_index_cost", key, query, indexes)
 
     # ------------------------------------------------------------------
-    # Batch entry points (compiled-kernel backends)
+    # Batch entry point (compiled-kernel backends)
     # ------------------------------------------------------------------
 
-    def query_costs(self, queries, index) -> np.ndarray:
-        """``f_j(k)`` for a whole column, resiliently priced.
+    def pair_costs(self, pairs) -> np.ndarray:
+        """Arbitrary ``(query, index)`` pairs, resiliently priced.
 
         The batch is one retry/timeout/breaker unit (one backend
         invocation); on success every pair lands in the stale cache
@@ -199,54 +189,26 @@ class ResilientCostSource:
         answers.  When the batch cannot be answered, each pair falls
         back individually (stale cache, then fallback chain).
         """
-        queries = tuple(queries)
-        keys = tuple(
-            ("query_cost", query.cache_key, index) for query in queries
-        )
-        pair_args = tuple((query, index) for query in queries)
-        return self._call_batch(
-            "query_costs", "query_cost", keys, (queries, index), pair_args
-        )
-
-    def sequential_costs(self, queries) -> np.ndarray:
-        """``f_j(0)`` for a whole column, resiliently priced."""
-        queries = tuple(queries)
-        keys = tuple(
-            ("query_cost", query.cache_key, None) for query in queries
-        )
-        pair_args = tuple((query, None) for query in queries)
-        return self._call_batch(
-            "sequential_costs", "query_cost", keys, (queries,), pair_args
-        )
-
-    def pair_costs(self, pairs) -> np.ndarray:
-        """Arbitrary ``(query, index)`` pairs, resiliently priced.
-
-        Like the other batch entry points, the whole pair list is one
-        retry/timeout/breaker unit; stale-cache keys and fallbacks are
-        per pair (the same keys ``query_costs`` writes)."""
         pairs = tuple(pairs)
         keys = tuple(
             ("query_cost", query.cache_key, index) for query, index in pairs
         )
-        return self._call_batch(
-            "pair_costs", "query_cost", keys, (pairs,), pairs
-        )
-
-    def maintenance_costs(self, queries, index) -> np.ndarray:
-        """Maintenance for a whole column, resiliently priced."""
-        queries = tuple(queries)
-        keys = tuple(
-            ("maintenance_cost", query.cache_key, index) for query in queries
-        )
-        pair_args = tuple((query, index) for query in queries)
-        return self._call_batch(
-            "maintenance_costs",
-            "maintenance_cost",
-            keys,
-            (queries, index),
-            pair_args,
-        )
+        with self._lock:
+            answer = self._attempt("pair_costs", (pairs,))
+            if _failed(answer):
+                return np.array(
+                    [
+                        self._fallback(
+                            "query_cost", key, pair, primary_error=answer
+                        )
+                        for key, pair in zip(keys, pairs)
+                    ],
+                    dtype=np.float64,
+                )
+            values = np.asarray(answer, dtype=np.float64)
+            for key, value in zip(keys, values.tolist()):
+                self._stale[key] = value
+            return values
 
     # ------------------------------------------------------------------
     # Internals
@@ -261,27 +223,32 @@ class ResilientCostSource:
 
     def _call(self, method: str, key: tuple, *args) -> float:
         with self._lock:
-            return self._call_locked(method, key, *args)
+            answer = self._attempt(method, args)
+            if _failed(answer):
+                return self._fallback(
+                    method, key, args, primary_error=answer
+                )
+            self._stale[key] = answer
+            return answer
 
-    def _call_locked(self, method: str, key: tuple, *args) -> float:
+    def _attempt(self, method: str, args: tuple):
+        """Ask the primary's ``method`` with retries, timeout detection
+        and the breaker (caller holds the lock).
+
+        Returns the primary's answer, or the error that ends the
+        attempt: the last retried error, or a
+        :class:`CostSourceUnavailableError` when the breaker is open.
+        Returns ``None`` — touching no retry or breaker state — when the
+        primary cannot price ``method`` at all (e.g. an engine without
+        a maintenance model).
+        """
         statistics = self._statistics
         primary = getattr(self._source, method, None)
         if primary is None:
-            # The primary cannot price this at all (e.g. an engine
-            # without a maintenance model): go straight to fallbacks,
-            # without touching retry or breaker state.
-            return self._fallback(method, key, args, primary_error=None)
-
+            return None
         if not self._breaker.allows_call():
             statistics.breaker_short_circuits += 1
-            return self._fallback(
-                method,
-                key,
-                args,
-                primary_error=CostSourceUnavailableError(
-                    "circuit breaker open"
-                ),
-            )
+            return CostSourceUnavailableError("circuit breaker open")
 
         policy = self._policy
         last_error: Exception | None = None
@@ -292,7 +259,7 @@ class ResilientCostSource:
             statistics.attempts += 1
             started = self._clock()
             try:
-                value = primary(*args)
+                answer = primary(*args)
             except TransientCostSourceError as error:
                 statistics.transient_failures += 1
                 last_error = error
@@ -309,105 +276,10 @@ class ResilientCostSource:
                 )
                 continue
             self._breaker.record_success()
-            self._stale[key] = value
-            return value
+            return answer
 
         self._breaker.record_failure()
-        return self._fallback(method, key, args, primary_error=last_error)
-
-    def _call_batch(
-        self,
-        method: str,
-        pair_method: str,
-        keys: tuple,
-        batch_args: tuple,
-        pair_args: tuple,
-    ) -> np.ndarray:
-        with self._lock:
-            return self._call_batch_locked(
-                method, pair_method, keys, batch_args, pair_args
-            )
-
-    def _call_batch_locked(
-        self,
-        method: str,
-        pair_method: str,
-        keys: tuple,
-        batch_args: tuple,
-        pair_args: tuple,
-    ) -> np.ndarray:
-        statistics = self._statistics
-        primary = getattr(self._source, method, None)
-        if primary is None:
-            return self._fallback_batch(
-                pair_method, keys, pair_args, primary_error=None
-            )
-
-        if not self._breaker.allows_call():
-            statistics.breaker_short_circuits += 1
-            return self._fallback_batch(
-                pair_method,
-                keys,
-                pair_args,
-                primary_error=CostSourceUnavailableError(
-                    "circuit breaker open"
-                ),
-            )
-
-        policy = self._policy
-        last_error: Exception | None = None
-        for attempt in range(policy.max_retries + 1):
-            if attempt > 0:
-                statistics.retries += 1
-                self._backoff(attempt - 1)
-            statistics.attempts += 1
-            started = self._clock()
-            try:
-                values = primary(*batch_args)
-            except TransientCostSourceError as error:
-                statistics.transient_failures += 1
-                last_error = error
-                continue
-            elapsed = self._clock() - started
-            if (
-                policy.call_timeout_s is not None
-                and elapsed > policy.call_timeout_s
-            ):
-                statistics.timeouts += 1
-                last_error = TransientCostSourceError(
-                    f"{method} took {elapsed:.3f}s "
-                    f"(timeout {policy.call_timeout_s}s)"
-                )
-                continue
-            self._breaker.record_success()
-            values = np.asarray(values, dtype=np.float64)
-            for key, value in zip(keys, values):
-                self._stale[key] = float(value)
-            return values
-
-        self._breaker.record_failure()
-        return self._fallback_batch(
-            pair_method, keys, pair_args, primary_error=last_error
-        )
-
-    def _fallback_batch(
-        self,
-        pair_method: str,
-        keys: tuple,
-        pair_args: tuple,
-        *,
-        primary_error: Exception | None,
-    ) -> np.ndarray:
-        """Per-pair fallback of a failed batch (stale, then chain)."""
-        return np.array(
-            [
-                self._fallback(
-                    pair_method, key, args, primary_error=primary_error
-                )
-                for key, args in zip(keys, pair_args)
-            ],
-            dtype=np.float64,
-        )
+        return last_error
 
     def _backoff(self, attempt: int) -> None:
         if self._policy.backoff_base_s <= 0:
@@ -442,3 +314,8 @@ class ResilientCostSource:
             f"cost backend unavailable for {method} and no fallback "
             "could price the call"
         ) from primary_error
+
+
+def _failed(answer) -> bool:
+    """Whether :meth:`ResilientCostSource._attempt` got no answer."""
+    return answer is None or isinstance(answer, Exception)

@@ -346,9 +346,12 @@ def _price_columns_once(workload, optimizer, indexes):
     accounting reference for the ranking and the rounds)."""
     queries = workload.queries
     for index in indexes:
-        optimizer.index_costs(
-            [query for query in queries if index.is_applicable_to(query)],
-            index,
+        optimizer.pair_costs(
+            [
+                (query, index)
+                for query in queries
+                if index.is_applicable_to(query)
+            ]
         )
 
 
@@ -514,8 +517,9 @@ class TestPoolPruning:
         def run(deadline):
             source = RecordingKernel(small_workload.schema)
             facade = WhatIfOptimizer(source)
-            # Only the selected columns are cached: every pair batch
-            # the backend sees during swap is a pool chunk.
+            # Only the sequential and selected columns are cached: every
+            # pair batch the backend sees during swap is a pool chunk.
+            facade.sequential_costs(queries)
             price_columns(facade, queries, start.configuration)
             source.pair_batches.clear()
             source.on_pair_batch = lambda: clock.advance(10.0)

@@ -11,6 +11,11 @@ and the batch facade entry points replicate per-pair
 
 from __future__ import annotations
 
+import gc
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,17 +42,22 @@ from tests.integration.test_properties import (
 REL = 1e-9
 
 
+def _column(source, queries, index):
+    """One ``pair_costs`` batch pairing every query with ``index``."""
+    return source.pair_costs([(query, index) for query in queries])
+
+
 def _assert_pair_equivalence(schema, queries, indexes):
     """Every (query, index) pair agrees between scalar and vectorized."""
     model = CostModel(schema)
     kernel = VectorizedCostSource(schema)
-    sequential = kernel.sequential_costs(queries)
+    sequential = _column(kernel, queries, None)
     for query, cost in zip(queries, sequential):
         assert cost == pytest.approx(
             model.sequential_cost(query), rel=REL
         )
     for index in indexes:
-        column = kernel.query_costs(queries, index)
+        column = _column(kernel, queries, index)
         for query, cost in zip(queries, column):
             reference = (
                 model.index_cost(query, index)
@@ -64,7 +74,7 @@ class TestCompiledWorkload:
             Query(0, "ORDERS", frozenset({0, 2, 3}), 1.0),
             Query(1, "ORDERS", frozenset({1}), 1.0),
         )
-        kernel.sequential_costs(queries)
+        _column(kernel, queries, None)
         pack, row = kernel._placements(queries[:1])[0]
         assert isinstance(pack, CompiledWorkload)
         assert pack.query_count == 2
@@ -83,7 +93,7 @@ class TestCompiledWorkload:
         schema = tiny_workload.schema
         kernel = VectorizedCostSource(schema)
         model = CostModel(schema)
-        costs = kernel.sequential_costs(tiny_workload.queries)
+        costs = _column(kernel, tiny_workload.queries, None)
         for query, cost in zip(tiny_workload.queries, costs):
             assert cost == pytest.approx(
                 model.sequential_cost(query), rel=REL
@@ -103,6 +113,67 @@ class TestCompiledWorkload:
         assert kernel.query_cost(insert, index) == model.index_cost(
             insert, index
         )
+
+    def test_priced_queries_are_not_kept_alive(self, tiny_schema):
+        """Pack rows are keyed by content, not by query object: a priced
+        query is freed once its caller drops it, and a content-equal
+        query reuses its row."""
+        kernel = VectorizedCostSource(tiny_schema)
+        index = Index.of(tiny_schema, (0,))
+        query = Query(0, "ORDERS", frozenset({0, 2}), 1.0)
+        cost = kernel.pair_costs([(query, index)])[0]
+        probe = weakref.ref(query)
+        del query
+        gc.collect()
+        assert probe() is None
+        twin = Query(7, "ORDERS", frozenset({0, 2}), 3.0)
+        assert kernel.pair_costs([(twin, index)])[0] == cost
+        assert kernel.statistics.compiled_queries == 1
+
+    def test_concurrent_first_sight_compiles_each_content_once(
+        self, small_workload
+    ):
+        """Threads pricing overlapping batches of unseen queries at once
+        bind every content to one pack row: nothing compiles twice, and
+        every cost equals a single-threaded kernel's."""
+        queries = small_workload.queries
+        reference = VectorizedCostSource(small_workload.schema)
+        batches = [queries[start::3] for start in range(3)] + [
+            queries,
+            queries[::-1],
+        ]
+        expected = [
+            _column(reference, batch, None).tolist() for batch in batches
+        ]
+
+        def run(slot, batch):
+            barrier.wait(timeout=10)
+            results[slot] = _column(kernel, batch, None).tolist()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                kernel = VectorizedCostSource(small_workload.schema)
+                results: dict[int, list[float]] = {}
+                barrier = threading.Barrier(len(batches))
+                threads = [
+                    threading.Thread(target=run, args=entry)
+                    for entry in enumerate(batches)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert kernel.statistics.compiled_queries == len(
+                    {query.cache_key for query in queries}
+                )
+                assert [results[slot] for slot in range(len(batches))] == (
+                    expected
+                )
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_queries_bind_to_first_pack_permanently(self, tiny_workload):
         kernel = VectorizedCostSource(tiny_workload.schema)
@@ -142,10 +213,12 @@ class TestScalarEquivalence:
             ),
         )
         index = Index.of(tiny_schema, (1, 3))
-        column = kernel.maintenance_costs(queries, index)
-        for query, cost in zip(queries, column):
+        for query in queries:
+            cost = kernel.maintenance_cost(query, index)
             assert cost == model.maintenance_cost(query, index)
-            assert kernel.maintenance_cost(query, index) == cost
+            assert WhatIfOptimizer(kernel).maintenance_cost(
+                query, index
+            ) == cost
 
     def test_batch_and_scalar_entry_points_are_bitwise_equal(
         self, small_workload
@@ -154,8 +227,8 @@ class TestScalarEquivalence:
         kernel = VectorizedCostSource(small_workload.schema)
         queries = small_workload.queries
         for index in syntactically_relevant_candidates(small_workload, 2):
-            whole = kernel.query_costs(queries, index)
-            subset = kernel.query_costs(queries[::2], index)
+            whole = _column(kernel, queries, index)
+            subset = _column(kernel, queries[::2], index)
             np.testing.assert_array_equal(whole[::2], subset)
             for position in (0, len(queries) - 1):
                 assert (
@@ -297,7 +370,10 @@ class TestFacadeBatch:
             == per_pair.statistics.cache_hits
         )
 
-    def test_index_costs_matches_index_cost(self, tiny_workload):
+    def test_index_column_matches_index_cost(self, tiny_workload):
+        """An index's cost column as one pair batch — applicable
+        queries paired with the index, the rest with ``None``, as
+        :meth:`index_cost` would — equals per-pair ``index_cost``."""
         facade = WhatIfOptimizer(
             VectorizedCostSource(tiny_workload.schema)
         )
@@ -305,7 +381,12 @@ class TestFacadeBatch:
             VectorizedCostSource(tiny_workload.schema)
         )
         index = Index.of(tiny_workload.schema, (1, 3))
-        column = facade.index_costs(tiny_workload.queries, index)
+        column = facade.pair_costs(
+            [
+                (query, index if index.is_applicable_to(query) else None)
+                for query in tiny_workload.queries
+            ]
+        )
         for query, cost in zip(tiny_workload.queries, column):
             assert reference.index_cost(query, index) == cost
         assert facade.statistics.calls == reference.statistics.calls
@@ -330,14 +411,25 @@ class TestFacadeBatch:
         assert facade.statistics.cache_hits == 3
 
     def test_batch_methods_work_on_scalar_backends(self, tiny_workload):
-        """The facade batch API degrades to per-pair lookups."""
-        facade = WhatIfOptimizer(
-            AnalyticalCostSource(CostModel(tiny_workload.schema))
+        """The facade batch API degrades to per-pair lookups, with the
+        per-pair path's values and accounting."""
+        schema = tiny_workload.schema
+        facade = WhatIfOptimizer(AnalyticalCostSource(CostModel(schema)))
+        reference = WhatIfOptimizer(
+            AnalyticalCostSource(CostModel(schema))
         )
-        index = Index.of(tiny_workload.schema, (0,))
-        column = facade.index_costs(tiny_workload.queries, index)
-        for query, cost in zip(tiny_workload.queries, column):
-            assert facade.index_cost(query, index) == cost
+        queries = tiny_workload.queries
+        index = Index.of(schema, (0,))
+        applicable = [
+            query for query in queries if index.is_applicable_to(query)
+        ]
+        sequential = facade.sequential_costs(queries)
+        column = _column(facade, applicable, index)
+        for query, cost in zip(queries, sequential):
+            assert reference.sequential_cost(query) == cost
+        for query, cost in zip(applicable, column):
+            assert reference.index_cost(query, index) == cost
+        assert facade.statistics == reference.statistics
 
     def test_price_columns_uses_batch_and_warms_cache(
         self, small_workload
@@ -351,7 +443,8 @@ class TestFacadeBatch:
         assert warmed.calls > 0
         # Re-pricing everything is now pure cache hits.
         for index in candidates:
-            facade.index_costs(
+            _column(
+                facade,
                 [
                     query
                     for query in small_workload.queries
@@ -366,8 +459,8 @@ class TestKernelStatistics:
     def test_counters_and_mean_batch_size(self, tiny_workload):
         kernel = VectorizedCostSource(tiny_workload.schema)
         queries = tiny_workload.queries
-        kernel.sequential_costs(queries)
-        kernel.query_costs(queries, Index.of(tiny_workload.schema, (0,)))
+        _column(kernel, queries, None)
+        _column(kernel, queries, Index.of(tiny_workload.schema, (0,)))
         kernel.query_cost(queries[0], None)
         statistics = kernel.statistics
         assert statistics.compiled_workloads == 1

@@ -276,9 +276,12 @@ class RecordingKernel(VectorizedCostSource):
 
 
 def _swap_pricing(workload, optimizer, candidates):
-    # Extend prices whole columns, never pair batches.
+    # Extend sends each move's whole column as one pair batch, so it
+    # runs on its own facade: only swap's pricing reaches the recorder.
     budget = relative_budget(workload.schema, 0.1)
-    start = ExtendAlgorithm(optimizer).select(workload, budget)
+    start = ExtendAlgorithm(
+        WhatIfOptimizer(VectorizedCostSource(workload.schema))
+    ).select(workload, budget)
     swap_local_search(
         workload, optimizer, start, budget, candidates, max_pool=10
     )
@@ -313,9 +316,14 @@ class TestApplicability:
     ):
         monkeypatch.setattr(whatif, "PAIR_CHUNK", 8)
         source = RecordingKernel(small_workload.schema)
+        optimizer = WhatIfOptimizer(source)
+        # The sequential column is one pair batch of every query: warm
+        # it, so every batch the pricer sends is a pool chunk.
+        optimizer.sequential_costs(small_workload.queries)
+        source.pair_batches.clear()
         pricer(
             small_workload,
-            WhatIfOptimizer(source),
+            optimizer,
             syntactically_relevant_candidates(small_workload),
         )
         assert len(source.pair_batches) > 1

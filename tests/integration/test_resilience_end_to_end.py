@@ -119,9 +119,9 @@ class TestFaultInjectionAcrossKernels:
     ):
         """The injector sits in front of either backend flavour: a
         scripted fail-3-then-succeed plan injects exactly three faults
-        whether the backend prices per pair (scalar) or per column
-        (vectorized batch entry points), and the retry layer absorbs
-        them into identical recommendations."""
+        whether the backend prices per pair (scalar) or per batch
+        (vectorized ``pair_costs``), and the retry layer absorbs them
+        into identical recommendations."""
         from repro.cost.kernel import VectorizedCostSource
         from repro.resilience import fail_n_then_succeed
 
@@ -150,11 +150,11 @@ class TestFaultInjectionAcrossKernels:
                 recommendations[kernel].result.status == STATUS_COMPLETED
             ), kernel
         # The injector mirrors the backend's batch capability, so the
-        # vectorized run actually flowed through the batch entry points
-        # rather than silently degrading to per-pair calls.
-        assert getattr(injectors["scalar"], "query_costs", None) is None
+        # vectorized run actually flowed through pair batches rather
+        # than silently degrading to per-pair calls.
+        assert getattr(injectors["scalar"], "pair_costs", None) is None
         assert (
-            getattr(injectors["vectorized"], "query_costs", None)
+            getattr(injectors["vectorized"], "pair_costs", None)
             is not None
         )
         assert (

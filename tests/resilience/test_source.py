@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.cost.kernel import VectorizedCostSource
 from repro.cost.model import CostModel
 from repro.cost.whatif import AnalyticalCostSource, WhatIfOptimizer
 from repro.exceptions import (
     CostSourceUnavailableError,
     TransientCostSourceError,
 )
+from repro.indexes.index import Index
 from repro.resilience import (
     BreakerState,
     FaultInjectingCostSource,
@@ -30,6 +33,18 @@ def analytical(tiny_workload):
 @pytest.fixture
 def a_query(tiny_workload):
     return tiny_workload.queries[0]
+
+
+class _CountingFallback:
+    """A fallback source that counts the pairs it is asked to price."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def query_cost(self, query, index):
+        self.calls += 1
+        return self.inner.query_cost(query, index)
 
 
 class TestHappyPath:
@@ -208,16 +223,7 @@ class TestFallbackChain:
     def test_stale_cache_preferred_over_fallback(
         self, analytical, a_query
     ):
-        class CountingFallback:
-            def __init__(self, inner):
-                self.inner = inner
-                self.calls = 0
-
-            def query_cost(self, query, index):
-                self.calls += 1
-                return self.inner.query_cost(query, index)
-
-        counting = CountingFallback(analytical)
+        counting = _CountingFallback(analytical)
         flaky = FaultInjectingCostSource(
             analytical, script=["ok", "fail"]
         )
@@ -327,3 +333,237 @@ class TestUnderTheFacade:
             assert resilient.sequential_cost(query) == (
                 clean.sequential_cost(query)
             )
+
+
+# ----------------------------------------------------------------------
+# One retry loop, two call shapes: a per-pair query_cost and a pair batch
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def kernel(tiny_workload):
+    return VectorizedCostSource(tiny_workload.schema)
+
+
+@pytest.fixture(params=["query_cost", "pair_costs"])
+def price(request, tiny_workload):
+    """One resilient call and the pairs it prices: ``query_cost`` of
+    one pair, or one ``pair_costs`` batch of three."""
+    queries = tiny_workload.queries
+    pairs = (
+        (queries[0], None),
+        (queries[0], Index.of(tiny_workload.schema, (0,))),
+        (queries[1], None),
+    )
+    if request.param == "query_cost":
+        pairs = pairs[:1]
+
+        def run(resilient):
+            [(query, index)] = pairs
+            return [resilient.query_cost(query, index)]
+
+    else:
+
+        def run(resilient):
+            return resilient.pair_costs(pairs).tolist()
+
+    run.pairs = pairs
+    return run
+
+
+def _healthy(pairs, schema):
+    """The fault-free answers, one per pair."""
+    reference = VectorizedCostSource(schema)
+    return [reference.query_cost(query, index) for query, index in pairs]
+
+
+class TestOneRetryLoop:
+    """Retries, timeouts, the breaker and the fallback chain act alike
+    on a per-pair call and on a pair batch: a batch is one unit."""
+
+    def test_retries_through_transient_failures(
+        self, kernel, price, tiny_workload
+    ):
+        flaky = FaultInjectingCostSource(
+            kernel, script=fail_n_then_succeed(2)
+        )
+        resilient = ResilientCostSource(
+            flaky,
+            policy=ResiliencePolicy(max_retries=3, backoff_base_s=0.0),
+        )
+        assert price(resilient) == _healthy(
+            price.pairs, tiny_workload.schema
+        )
+        assert resilient.statistics.retries == 2
+        assert resilient.statistics.transient_failures == 2
+        # One backend invocation per attempt, whatever the pair count.
+        assert flaky.statistics.calls == 3
+
+    def test_exhausted_retries_raise_without_fallback(
+        self, kernel, price
+    ):
+        flaky = FaultInjectingCostSource(kernel, failure_rate=1.0)
+        resilient = ResilientCostSource(
+            flaky,
+            policy=ResiliencePolicy(max_retries=2, backoff_base_s=0.0),
+        )
+        with pytest.raises(CostSourceUnavailableError):
+            price(resilient)
+        assert resilient.statistics.attempts == 3
+        assert resilient.statistics.unavailable == 1
+
+    def test_slow_call_times_out_and_retries(
+        self, kernel, price, tiny_workload
+    ):
+        clock = ManualClock()
+        flaky = FaultInjectingCostSource(
+            kernel, script=["slow", "ok"], spike_latency_s=5.0, clock=clock
+        )
+        resilient = ResilientCostSource(
+            flaky,
+            policy=ResiliencePolicy(
+                max_retries=1, backoff_base_s=0.0, call_timeout_s=1.0
+            ),
+            clock=clock,
+        )
+        assert price(resilient) == _healthy(
+            price.pairs, tiny_workload.schema
+        )
+        assert resilient.statistics.timeouts == 1
+        assert resilient.statistics.retries == 1
+
+    def test_exhausted_call_is_one_breaker_failure(
+        self, kernel, price, tiny_workload
+    ):
+        dead = FaultInjectingCostSource(kernel, failure_rate=1.0)
+        resilient = ResilientCostSource(
+            dead,
+            policy=ResiliencePolicy(
+                max_retries=1, backoff_base_s=0.0, breaker_threshold=2
+            ),
+            fallbacks=(VectorizedCostSource(tiny_workload.schema),),
+        )
+        healthy = _healthy(price.pairs, tiny_workload.schema)
+        assert price(resilient) == healthy
+        assert resilient.breaker.state is BreakerState.CLOSED
+        assert price(resilient) == healthy
+        assert resilient.breaker.state is BreakerState.OPEN
+        calls = dead.statistics.calls
+        assert price(resilient) == healthy
+        assert dead.statistics.calls == calls
+        assert resilient.statistics.breaker_short_circuits == 1
+
+    def test_half_open_trial_recovers(self, kernel, price, tiny_workload):
+        clock = ManualClock()
+        flaky = FaultInjectingCostSource(
+            kernel, script=fail_n_then_succeed(1)
+        )
+        resilient = ResilientCostSource(
+            flaky,
+            policy=ResiliencePolicy(
+                max_retries=0,
+                backoff_base_s=0.0,
+                breaker_threshold=1,
+                breaker_reset_s=5.0,
+            ),
+            fallbacks=(VectorizedCostSource(tiny_workload.schema),),
+            clock=clock,
+        )
+        price(resilient)  # trips the breaker
+        assert resilient.breaker.state is BreakerState.OPEN
+        clock.advance(5.0)
+        assert price(resilient) == _healthy(
+            price.pairs, tiny_workload.schema
+        )
+        assert resilient.breaker.state is BreakerState.CLOSED
+
+    def test_stale_cache_preferred_over_fallback(self, kernel, price):
+        counting = _CountingFallback(kernel)
+        flaky = FaultInjectingCostSource(kernel, script=["ok", "fail"])
+        resilient = ResilientCostSource(
+            flaky,
+            policy=ResiliencePolicy(max_retries=0, backoff_base_s=0.0),
+            fallbacks=(counting,),
+        )
+        first = price(resilient)
+        assert price(resilient) == first  # injected failure
+        assert counting.calls == 0
+        assert resilient.statistics.stale_cache_hits == len(price.pairs)
+        assert resilient.stale_cache_size == len(price.pairs)
+
+    def test_fallback_prices_unknown_answers(
+        self, kernel, price, tiny_workload
+    ):
+        dead = FaultInjectingCostSource(kernel, failure_rate=1.0)
+        resilient = ResilientCostSource(
+            dead,
+            policy=ResiliencePolicy(max_retries=1, backoff_base_s=0.0),
+            fallbacks=(VectorizedCostSource(tiny_workload.schema),),
+        )
+        assert price(resilient) == _healthy(
+            price.pairs, tiny_workload.schema
+        )
+        assert resilient.statistics.fallback_calls == len(price.pairs)
+
+
+class _Versioned:
+    """A backend whose every answer is the number of the invocation
+    that gave it, so a later answer visibly replaces an earlier one."""
+
+    def __init__(self) -> None:
+        self.invocations = 0
+
+    def query_cost(self, query, index) -> float:
+        self.invocations += 1
+        return float(self.invocations)
+
+    def pair_costs(self, pairs):
+        self.invocations += 1
+        return np.full(len(tuple(pairs)), float(self.invocations))
+
+
+class TestPairBatchFallback:
+    def test_failed_batch_falls_back_per_pair_stale_first(
+        self, kernel, tiny_workload
+    ):
+        """A failed batch asks the stale cache pair by pair, and the
+        fallback chain only for the pairs it does not know."""
+        queries = tiny_workload.queries
+        pairs = ((queries[0], None), (queries[1], None), (queries[2], None))
+        flaky = FaultInjectingCostSource(kernel, script=["ok", "fail"])
+        resilient = ResilientCostSource(
+            flaky,
+            policy=ResiliencePolicy(max_retries=0, backoff_base_s=0.0),
+            fallbacks=(VectorizedCostSource(tiny_workload.schema),),
+        )
+        resilient.query_cost(*pairs[0])
+        costs = resilient.pair_costs(pairs)
+        assert costs.tolist() == _healthy(pairs, tiny_workload.schema)
+        assert resilient.statistics.stale_cache_hits == 1
+        assert resilient.statistics.fallback_calls == 2
+        # Fallback answers are reproducible, so never cached as stale.
+        assert resilient.stale_cache_size == 1
+
+    def test_successful_batch_refreshes_stale_entries(self, a_query):
+        flaky = FaultInjectingCostSource(
+            _Versioned(), script=["ok", "ok", "fail"]
+        )
+        resilient = ResilientCostSource(
+            flaky,
+            policy=ResiliencePolicy(max_retries=0, backoff_base_s=0.0),
+        )
+        assert resilient.query_cost(a_query, None) == 1.0
+        assert resilient.pair_costs([(a_query, None)]).tolist() == [2.0]
+        # The per-pair call fails; its stale answer is the batch's.
+        assert resilient.query_cost(a_query, None) == 2.0
+        assert resilient.statistics.stale_cache_hits == 1
+        assert resilient.stale_cache_size == 1
+
+    def test_pair_costs_advertised_only_by_a_batch_primary(
+        self, analytical, kernel
+    ):
+        assert ResilientCostSource(kernel).pair_costs is not None
+        fallback_only = ResilientCostSource(
+            analytical, fallbacks=(kernel,)
+        )
+        assert getattr(fallback_only, "pair_costs", None) is None

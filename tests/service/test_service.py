@@ -88,8 +88,8 @@ class _GateSource:
 
 
 class _HeldKernel(VectorizedCostSource):
-    """The vectorized kernel whose ``query_costs`` calls (the column
-    entry point the facade prices Extend through) wait on ``gate``
+    """The vectorized kernel whose ``pair_costs`` calls (the batch
+    method the facade prices every column through) wait on ``gate``
     once the first ``release_after`` calls have passed."""
 
     def __init__(self, schema, gate: threading.Event, release_after):
@@ -99,13 +99,13 @@ class _HeldKernel(VectorizedCostSource):
         self._lock = threading.Lock()
         self.calls = 0
 
-    def query_costs(self, queries, index):
+    def pair_costs(self, pairs):
         with self._lock:
             self.calls += 1
             held = self.calls > self._release_after
         if held:
             assert self._gate.wait(timeout=_JOIN_S)
-        return super().query_costs(queries, index)
+        return super().pair_costs(pairs)
 
 
 class TestConcurrencyIdentity:
