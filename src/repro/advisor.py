@@ -36,9 +36,7 @@ from repro.core.sweep import (
     sweep_select,
 )
 from repro.cost.kernel import VectorizedCostSource
-from repro.cost.model import CostModel
 from repro.cost.whatif import (
-    AnalyticalCostSource,
     CostSource,
     WhatIfOptimizer,
     WhatIfStatistics,
@@ -81,12 +79,10 @@ from repro.workload.sql import workload_from_sql
 
 __all__ = [
     "ALGORITHMS",
-    "COST_KERNELS",
+    "CostStack",
     "IndexAdvisor",
-    "KernelStacks",
     "Recommendation",
     "check_algorithm",
-    "check_cost_kernel",
     "coerce_budget",
     "run_selection",
 ]
@@ -103,8 +99,6 @@ ALGORITHMS = (
     "h5",
 )
 
-COST_KERNELS = ("scalar", "vectorized")
-
 
 def check_algorithm(algorithm: str) -> None:
     """Reject an algorithm name outside :data:`ALGORITHMS`, before any
@@ -113,16 +107,6 @@ def check_algorithm(algorithm: str) -> None:
         raise ExperimentError(
             f"unknown algorithm {algorithm!r}; pick one of "
             f"{', '.join(ALGORITHMS)}"
-        )
-
-
-def check_cost_kernel(kernel: str) -> None:
-    """Reject a cost-kernel name outside :data:`COST_KERNELS`, before
-    any stack is built."""
-    if kernel not in COST_KERNELS:
-        raise ExperimentError(
-            f"unknown cost kernel {kernel!r}; pick one of "
-            f"{', '.join(COST_KERNELS)}"
         )
 
 
@@ -145,29 +129,30 @@ def coerce_budget(
     return relative_budget(schema, budget_share)
 
 
-class KernelStacks:
-    """Per-cost-kernel (resilient source, what-if facade) stacks.
+class CostStack:
+    """The one pricing stack of a schema: the compiled kernel of
+    :mod:`repro.cost.kernel`, behind one
+    :class:`~repro.resilience.ResilientCostSource`, behind one caching
+    :class:`~repro.cost.whatif.WhatIfOptimizer`.
 
-    One lazily built stack per kernel flavour over a fixed schema:
-    per-kernel caches must never mix (a cached vectorized cost
-    answering a scalar-kernel run would blur the 1e-9 equivalence
-    contract into the differential tests).  Shared by
-    :class:`IndexAdvisor` (one caller, many ``recommend`` calls) and
-    ``repro.service.AdvisorService`` (many concurrent requests, many
-    registered workloads on one schema).
+    Shared by :class:`IndexAdvisor` (one caller, many ``recommend``
+    calls) and ``repro.service.AdvisorService`` (many concurrent
+    requests, many registered workloads on one schema).
 
     Parameters
     ----------
     schema:
-        The schema all stacks price against.
+        The schema the stack prices against.
     cost_source:
-        The primary what-if backend; ``None`` means the per-kernel
-        analytic source itself (infallible, no fallbacks needed).
+        The primary what-if backend; ``None`` means the kernel itself
+        (infallible, no fallbacks needed).  Any other source gets the
+        kernel as its fallback — the scalar reference model plugs in as
+        ``AnalyticalCostSource(CostModel(schema))``.
     policy:
-        Default retry/breaker policy for the resilient wrappers.
+        Retry/breaker policy of the resilient layer.
     whatif_cache_entries:
-        Optional LRU bound forwarded to every kernel's
-        :class:`WhatIfOptimizer` (``None`` = unbounded).
+        Optional LRU bound of the facade's cost cache (``None`` =
+        unbounded).
     """
 
     def __init__(
@@ -178,90 +163,54 @@ class KernelStacks:
         policy: ResiliencePolicy | None = None,
         whatif_cache_entries: int | None = None,
     ) -> None:
-        self._schema = schema
-        self._cost_source = cost_source
-        self._policy = policy
-        self._whatif_cache_entries = whatif_cache_entries
-        self._analytic: dict[str, CostSource] = {}
-        self._stacks: dict[
-            str, tuple[ResilientCostSource, WhatIfOptimizer]
-        ] = {}
+        self.kernel = VectorizedCostSource(schema)
+        primary = cost_source if cost_source is not None else self.kernel
+        self.resilient = ResilientCostSource(
+            primary,
+            policy=policy,
+            fallbacks=() if primary is self.kernel else (self.kernel,),
+        )
+        self.optimizer = WhatIfOptimizer(
+            self.resilient, max_entries=whatif_cache_entries
+        )
 
-    @property
-    def policy(self) -> ResiliencePolicy | None:
-        """The current default retry/breaker policy."""
-        return self._policy
+    def publish(
+        self, registry: MetricsRegistry, whatif: WhatIfStatistics
+    ) -> None:
+        """Bridge the stack into ``registry`` as gauges: ``whatif`` (the
+        facade's statistics, or a delta of them) as ``whatif.*``, the
+        resilient layer's counters as ``resilience.*`` and the kernel's
+        as ``kernel.*``."""
+        registry.publish("whatif", whatif)
+        registry.publish("resilience", self.resilient.statistics)
+        registry.publish("kernel", self.kernel.statistics)
 
-    def analytic(self, kernel: str) -> CostSource:
-        """The (infallible) analytic source of one kernel flavour."""
-        source = self._analytic.get(kernel)
-        if source is None:
-            if kernel == "vectorized":
-                source = VectorizedCostSource(self._schema)
-            else:
-                source = AnalyticalCostSource(CostModel(self._schema))
-            self._analytic[kernel] = source
-        return source
+    # The accessors below keep the per-kernel signatures that
+    # perfbench/workloads.py still calls; "vectorized" is the only name.
 
     def stack(
         self, kernel: str
     ) -> tuple[ResilientCostSource, WhatIfOptimizer]:
-        """The resilient source and caching facade of one flavour."""
-        check_cost_kernel(kernel)
-        stack = self._stacks.get(kernel)
-        if stack is None:
-            analytical = self.analytic(kernel)
-            primary = (
-                self._cost_source
-                if self._cost_source is not None
-                else analytical
-            )
-            fallbacks = () if primary is analytical else (analytical,)
-            resilient = ResilientCostSource(
-                primary, policy=self._policy, fallbacks=fallbacks
-            )
-            stack = (
-                resilient,
-                WhatIfOptimizer(
-                    resilient, max_entries=self._whatif_cache_entries
-                ),
-            )
-            self._stacks[kernel] = stack
-        return stack
+        """``(resilient, optimizer)``."""
+        _check_kernel_name(kernel)
+        return self.resilient, self.optimizer
 
-    def built_kernels(self) -> tuple[str, ...]:
-        """Kernels whose stacks (and therefore caches) exist already."""
-        return tuple(self._stacks)
-
-    def set_policy(self, policy: ResiliencePolicy) -> None:
-        """Swap the policy on current and future stacks (breaker state
-        survives the swap)."""
-        self._policy = policy
-        for resilient, _ in self._stacks.values():
-            resilient.policy = policy
+    def analytic(self, kernel: str) -> VectorizedCostSource:
+        """The compiled kernel."""
+        _check_kernel_name(kernel)
+        return self.kernel
 
     def vectorized_statistics(self):
-        """``KernelStatistics`` of the compiled kernel, if built yet."""
-        source = self._analytic.get("vectorized")
-        return None if source is None else source.statistics
+        """``KernelStatistics`` of the compiled kernel."""
+        return self.kernel.statistics
 
-    def publish(
-        self,
-        registry: MetricsRegistry,
-        kernel: str,
-        whatif: WhatIfStatistics,
-    ) -> None:
-        """Bridge one kernel's cost stack into ``registry`` as gauges:
-        ``whatif`` (the facade's statistics, or a delta of them) as
-        ``whatif.*``, the resilient source's counters as
-        ``resilience.*`` and, once the compiled kernel is built, its
-        counters as ``kernel.*``."""
-        resilient, _ = self.stack(kernel)
-        registry.publish("whatif", whatif)
-        registry.publish("resilience", resilient.statistics)
-        statistics = self.vectorized_statistics()
-        if statistics is not None:
-            registry.publish("kernel", statistics)
+
+def _check_kernel_name(kernel: str) -> None:
+    if kernel != "vectorized":
+        raise ExperimentError(
+            f"unknown cost kernel {kernel!r}; the compiled kernel "
+            "(\"vectorized\") is the only analytic backend"
+        )
 
 
 def run_selection(
@@ -427,10 +376,11 @@ class IndexAdvisor:
 
     The cost backend is always wrapped in a
     :class:`~repro.resilience.ResilientCostSource` whose fallback chain
-    ends at the Appendix B analytic model: a flaky ``cost_source``
-    (e.g. a remote plan-costing service or the fault-injection harness)
-    is retried, breaker-protected, and ultimately degraded to
-    fallback-priced answers instead of crashing the recommendation.
+    ends at the Appendix B analytic model (the compiled kernel of
+    :mod:`repro.cost.kernel`): a flaky ``cost_source`` (e.g. a remote
+    plan-costing service or the fault-injection harness) is retried,
+    breaker-protected, and ultimately degraded to fallback-priced
+    answers instead of crashing the recommendation.
 
     Parameters
     ----------
@@ -440,16 +390,11 @@ class IndexAdvisor:
         Observability session shared by all runs of this advisor.
     cost_source:
         The primary what-if backend; defaults to the (infallible)
-        analytic model.
+        compiled kernel.  ``AnalyticalCostSource(CostModel(schema))``
+        plugs in the pure-Python reference model.
     resilience:
         Default retry/breaker policy; can be overridden per call via
         ``recommend(resilience=...)``.
-    cost_kernel:
-        Default analytic backend flavour: ``"vectorized"`` (the
-        compiled batch kernel of :mod:`repro.cost.kernel`, default)
-        or ``"scalar"`` (the pure-Python :class:`CostModel`).  Both
-        price every pair within 1e-9 relative tolerance of each other;
-        overridable per call via ``recommend(cost_kernel=...)``.
     """
 
     def __init__(
@@ -459,18 +404,10 @@ class IndexAdvisor:
         telemetry: Telemetry = NULL_TELEMETRY,
         cost_source: CostSource | None = None,
         resilience: ResiliencePolicy | None = None,
-        cost_kernel: str = "vectorized",
     ) -> None:
-        check_cost_kernel(cost_kernel)
         self._schema = schema
-        self._default_kernel = cost_kernel
-        self._kernel_stacks = KernelStacks(
-            schema,
-            cost_source=cost_source,
-            policy=resilience,
-        )
-        self._resilient, self._optimizer = self._kernel_stacks.stack(
-            cost_kernel
+        self._stack = CostStack(
+            schema, cost_source=cost_source, policy=resilience
         )
         self._telemetry = telemetry
 
@@ -487,17 +424,18 @@ class IndexAdvisor:
     @property
     def optimizer(self) -> WhatIfOptimizer:
         """The shared what-if facade (exposed for call accounting)."""
-        return self._optimizer
+        return self._stack.optimizer
 
     @property
     def resilience(self) -> ResilientCostSource:
         """The resilient cost backend (breaker, retry counters)."""
-        return self._resilient
+        return self._stack.resilient
 
     @property
-    def kernel_stacks(self) -> KernelStacks:
-        """The per-kernel cost stacks (exposed for accounting)."""
-        return self._kernel_stacks
+    def kernel_stacks(self) -> CostStack:
+        """The kernel, resilient layer and facade this advisor prices
+        through (exposed for accounting)."""
+        return self._stack
 
     # ------------------------------------------------------------------
     # Input coercion
@@ -543,7 +481,6 @@ class IndexAdvisor:
         deadline_s: float | None = None,
         resilience: ResiliencePolicy | None = None,
         solver_time_limit: float = 120.0,
-        cost_kernel: str | None = None,
         compression_share: float | None = None,
         merge_duplicates: bool = False,
     ) -> Recommendation:
@@ -578,11 +515,6 @@ class IndexAdvisor:
             120.0); a tighter ``deadline_s`` caps it further.  When the
             solver fails or times out without an incumbent, the advisor
             falls back to Extend and tags the result ``degraded``.
-        cost_kernel:
-            Analytic backend flavour for this call (``"scalar"`` or
-            ``"vectorized"``); ``None`` (default) uses the advisor's
-            constructor default.  Each flavour keeps its own what-if
-            cache and call counters.
         compression_share / merge_duplicates:
             The :func:`~repro.workload.compression.pricing_prepass`
             knobs: merge content-duplicate templates (lossless for the
@@ -593,10 +525,6 @@ class IndexAdvisor:
             large workloads.
         """
         check_algorithm(algorithm)
-        kernel = (
-            cost_kernel if cost_kernel is not None else self._default_kernel
-        )
-        check_cost_kernel(kernel)
         check_candidate_width(candidate_width)
         if hot_spot_count < 0:
             raise ExperimentError(
@@ -604,9 +532,9 @@ class IndexAdvisor:
             )
         resolved = self._coerce_workload(workload)
         budget = self._coerce_budget(budget_share, budget_bytes)
-        _, optimizer = self._kernel_stacks.stack(kernel)
+        optimizer = self._stack.optimizer
         if resilience is not None:
-            self._kernel_stacks.set_policy(resilience)
+            self._stack.resilient.policy = resilience
         if merge_duplicates or compression_share is not None:
             resolved, _ = pricing_prepass(
                 resolved,
@@ -642,9 +570,7 @@ class IndexAdvisor:
                     whatif_statistics=run_statistics,
                 )
         if telemetry.enabled:
-            self._kernel_stacks.publish(
-                telemetry.metrics, kernel, optimizer.statistics
-            )
+            self._stack.publish(telemetry.metrics, optimizer.statistics)
         return Recommendation(
             workload=resolved,
             result=result,
@@ -661,7 +587,6 @@ class IndexAdvisor:
         *,
         budget_shares: Sequence[float],
         deadline_s: float | None = None,
-        cost_kernel: str | None = None,
     ) -> SweepRecommendation:
         """Answer every budget share with one Extend run each.
 
@@ -683,12 +608,8 @@ class IndexAdvisor:
         budget-independent.
         """
         shares = normalize_budget_shares(budget_shares)
-        kernel = (
-            cost_kernel if cost_kernel is not None else self._default_kernel
-        )
-        check_cost_kernel(kernel)
         resolved = self._coerce_workload(workload)
-        _, optimizer = self._kernel_stacks.stack(kernel)
+        optimizer = self._stack.optimizer
         telemetry = self._telemetry
         with telemetry.tracer.span(
             "advisor.recommend_sweep", points=len(shares)
@@ -701,9 +622,7 @@ class IndexAdvisor:
                 deadline=Deadline(deadline_s),
             )
         if telemetry.enabled:
-            self._kernel_stacks.publish(
-                telemetry.metrics, kernel, optimizer.statistics
-            )
+            self._stack.publish(telemetry.metrics, optimizer.statistics)
         return SweepRecommendation(
             workload=resolved,
             sweep=sweep,

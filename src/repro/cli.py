@@ -57,8 +57,7 @@ from repro.core.extend import ExtendAlgorithm
 from repro.core.steps import SelectionResult, format_steps
 from repro.core.sweep import parse_budget_sweep, sweep_select
 from repro.cost.kernel import VectorizedCostSource
-from repro.cost.model import CostModel
-from repro.cost.whatif import AnalyticalCostSource, WhatIfOptimizer
+from repro.cost.whatif import WhatIfOptimizer
 from repro.exceptions import ExperimentError, ReproError
 from repro.heuristics.performance import (
     BenefitPerSizeHeuristic,
@@ -226,26 +225,20 @@ def _run_algorithm(
 def _build_cost_stack(
     arguments: argparse.Namespace, workload: Workload
 ) -> tuple[WhatIfOptimizer, ResilientCostSource,
-           FaultInjectingCostSource | None,
-           VectorizedCostSource | None]:
-    """Assemble analytic backend → fault injector → resilient wrapper."""
-    kernel: VectorizedCostSource | None = None
-    if arguments.cost_kernel == "vectorized":
-        kernel = VectorizedCostSource(workload.schema)
-        analytical = kernel
-    else:
-        analytical = AnalyticalCostSource(CostModel(workload.schema))
+           FaultInjectingCostSource | None, VectorizedCostSource]:
+    """Assemble compiled kernel → fault injector → resilient wrapper."""
+    kernel = VectorizedCostSource(workload.schema)
     injector: FaultInjectingCostSource | None = None
-    primary = analytical
+    primary = kernel
     fallbacks: tuple = ()
     if arguments.fault_rate > 0:
         injector = FaultInjectingCostSource(
-            analytical,
+            kernel,
             failure_rate=arguments.fault_rate,
             seed=arguments.fault_seed,
         )
         primary = injector
-        fallbacks = (analytical,)
+        fallbacks = (kernel,)
     resilient = ResilientCostSource(
         primary,
         policy=ResiliencePolicy(
@@ -287,7 +280,7 @@ def _finish_telemetry(
     optimizer: WhatIfOptimizer,
     resilient: ResilientCostSource,
     injector: FaultInjectingCostSource | None,
-    kernel: VectorizedCostSource | None,
+    kernel: VectorizedCostSource,
 ) -> None:
     """The advise telemetry tail: publish the cost stack's statistics,
     print ``--metrics``, and close the session (writing ``--trace``)."""
@@ -296,8 +289,7 @@ def _finish_telemetry(
     metrics = telemetry.metrics
     metrics.publish("whatif", optimizer.statistics)
     metrics.publish("resilience", resilient.statistics)
-    if kernel is not None:
-        metrics.publish("kernel", kernel.statistics)
+    metrics.publish("kernel", kernel.statistics)
     if injector is not None:
         metrics.publish("faults", injector.statistics)
     if arguments.metrics:
@@ -464,12 +456,8 @@ def _serve(arguments: argparse.Namespace) -> int:
     schema = workload.schema
     cost_source = None
     if arguments.fault_rate > 0:
-        if arguments.cost_kernel == "vectorized":
-            analytical = VectorizedCostSource(schema)
-        else:
-            analytical = AnalyticalCostSource(CostModel(schema))
         cost_source = FaultInjectingCostSource(
-            analytical,
+            VectorizedCostSource(schema),
             failure_rate=arguments.fault_rate,
             seed=arguments.fault_seed,
         )
@@ -483,7 +471,6 @@ def _serve(arguments: argparse.Namespace) -> int:
             max_retries=arguments.max_retries,
             backoff_base_s=0.0,
         ),
-        cost_kernel=arguments.cost_kernel,
         whatif_cache_entries=arguments.whatif_cache_entries,
         snapshot_dir=arguments.snapshot_dir,
         snapshot_interval_s=arguments.snapshot_interval,
@@ -594,13 +581,6 @@ def main(argv: list[str] | None = None) -> int:
 
     cost_flags = argparse.ArgumentParser(add_help=False)
     cost_flags.add_argument(
-        "--cost-kernel", choices=("scalar", "vectorized"),
-        default="vectorized",
-        help="analytic cost backend flavour: the compiled numpy batch "
-        "kernel (default) or the pure-Python scalar model; both agree "
-        "within 1e-9 relative tolerance",
-    )
-    cost_flags.add_argument(
         "--max-retries", type=int, default=3,
         help="retries per failing cost-backend call before falling "
         "back (default 3)",
@@ -699,7 +679,7 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument(
         "--whatif-cache-entries", type=_positive_int, default=None,
         metavar="N",
-        help="LRU bound on the resident what-if cost cache per kernel "
+        help="LRU bound on the resident what-if cost cache "
         "(default: unbounded); evictions surface as the "
         "whatif.evictions gauge",
     )

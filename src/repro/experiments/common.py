@@ -11,15 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.advisor import check_cost_kernel
 from repro.cophy.solver import CoPhyAlgorithm
 from repro.core.extend import ExtendAlgorithm
 from repro.core.frontier import Frontier, FrontierPoint
 from repro.core.steps import SelectionResult
 from repro.core.sweep import budget_grid, sweep_select
 from repro.cost.kernel import VectorizedCostSource
-from repro.cost.model import CostModel
-from repro.cost.whatif import AnalyticalCostSource, WhatIfOptimizer
+from repro.cost.whatif import WhatIfOptimizer
 from repro.exceptions import SolverTimeoutError
 from repro.indexes.index import Index
 from repro.indexes.memory import relative_budget
@@ -74,23 +72,10 @@ class BudgetSweepSeries:
         return sum(self.runtimes)
 
 
-def analytic_optimizer(
-    workload: Workload, *, kernel: str = "vectorized"
-) -> WhatIfOptimizer:
-    """A what-if facade over the Appendix B cost model.
-
-    ``kernel`` selects the backend flavour: ``"vectorized"`` (default)
-    uses the compiled batch kernel of :mod:`repro.cost.kernel`,
-    ``"scalar"`` the pure-Python :class:`CostModel`.  Both agree within
-    1e-9 relative tolerance on every pair; the experiment sweeps (and
-    the golden step traces) are invariant to the choice.
-    """
-    check_cost_kernel(kernel)
-    if kernel == "vectorized":
-        return WhatIfOptimizer(VectorizedCostSource(workload.schema))
-    return WhatIfOptimizer(
-        AnalyticalCostSource(CostModel(workload.schema))
-    )
+def analytic_optimizer(workload: Workload) -> WhatIfOptimizer:
+    """A what-if facade over the Appendix B cost model, priced by the
+    compiled batch kernel of :mod:`repro.cost.kernel`."""
+    return WhatIfOptimizer(VectorizedCostSource(workload.schema))
 
 
 def _progress(verbose: bool, message: str) -> None:

@@ -999,15 +999,11 @@ class ChaosHarness:
 
 def _cache_export(service) -> str:
     """The service's what-if cache entries for its ``chaos``
-    registration, per built kernel, as canonical JSON (equal strings
-    mean bit-identical costs: ``json`` writes floats by ``repr``)."""
-    queries = tuple(service.registry.get("chaos").workload)
-    stacks = service.kernel_stacks
+    registration as canonical JSON (equal strings mean bit-identical
+    costs: ``json`` writes floats by ``repr``)."""
+    queries = service.registry.get("chaos").workload
     return json.dumps(
-        {
-            kernel: stacks.stack(kernel)[1].export_cache(queries)
-            for kernel in sorted(stacks.built_kernels())
-        },
+        service.kernel_stacks.optimizer.export_cache(queries),
         sort_keys=True,
     )
 
@@ -1020,10 +1016,19 @@ def _corrupt(pristine: bytes, corruption: str, rng) -> bytes:
     if corruption == "bitflip":
         # Flip a bit inside the payload region (past the envelope
         # keys) so the checksum, not the JSON parser, must catch it.
-        data = bytearray(pristine)
-        position = rng.randint(len(data) // 2, len(data) - 2)
-        data[position] ^= 0x01
-        return bytes(data)
+        # A flip that still decodes to the same snapshot is no
+        # corruption (a float's 17th digit can name the same double
+        # either way), so draw again.
+        decoded = json.loads(pristine)
+        while True:
+            data = bytearray(pristine)
+            position = rng.randint(len(data) // 2, len(data) - 2)
+            data[position] ^= 0x01
+            try:
+                if json.loads(data) != decoded:
+                    return bytes(data)
+            except ValueError:
+                return bytes(data)
     if corruption == "version_skew":
         envelope = json.loads(pristine.decode("utf-8"))
         envelope["version"] = 999

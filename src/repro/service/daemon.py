@@ -2,10 +2,9 @@
 
 An :class:`AdvisorService` is one schema's long-lived recommendation
 daemon.  Everything expensive stays resident between requests — the
-per-kernel what-if stacks (shared :class:`~repro.cost.whatif.WhatIfOptimizer`
-caches, compiled workload packs of the vectorized kernel) — so a
-repeated request for a registered workload makes no backend what-if
-call.
+one cost stack (the shared :class:`~repro.cost.whatif.WhatIfOptimizer`
+cache, the compiled kernel's workload packs) — so a repeated request
+for a registered workload makes no backend what-if call.
 
 Admission is fail-fast: at most ``max_concurrency`` requests execute
 while up to ``queue_depth`` more wait; a submit beyond that raises
@@ -48,9 +47,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from repro.advisor import (
-    KernelStacks,
+    CostStack,
     check_algorithm,
-    check_cost_kernel,
     coerce_budget,
     run_selection,
 )
@@ -345,16 +343,14 @@ class AdvisorService:
         unlimited).  Deadlines start at submission.
     cost_source:
         Primary what-if backend shared by all requests; defaults to the
-        per-kernel analytic model.  Flaky sources are wrapped with
-        retries, a circuit breaker, and the analytic fallback exactly
-        as in :class:`~repro.advisor.IndexAdvisor`.
+        compiled kernel.  Flaky sources are wrapped with retries, a
+        circuit breaker, and the kernel as fallback exactly as in
+        :class:`~repro.advisor.IndexAdvisor`.
     resilience:
-        Retry/breaker policy for the shared cost stacks.
-    cost_kernel:
-        Kernel flavour used when a request does not pick one.
+        Retry/breaker policy for the shared cost stack.
     whatif_cache_entries:
-        Optional LRU bound on each kernel's long-lived what-if cost
-        cache (``None`` = unbounded); evictions surface as the
+        Optional LRU bound on the long-lived what-if cost cache
+        (``None`` = unbounded); evictions surface as the
         ``whatif.evictions`` gauge.
     clock:
         Monotonic time source (injectable for deterministic tests);
@@ -391,7 +387,6 @@ class AdvisorService:
         default_deadline_s: float | None = None,
         cost_source: CostSource | None = None,
         resilience: ResiliencePolicy | None = None,
-        cost_kernel: str = "vectorized",
         whatif_cache_entries: int | None = None,
         clock: Callable[[], float] = time.monotonic,
         snapshot_dir: str | Path | None = None,
@@ -408,7 +403,6 @@ class AdvisorService:
             raise ServiceError(
                 f"queue_depth must be >= 0, got {queue_depth}"
             )
-        check_cost_kernel(cost_kernel)
         if drain_timeout_s < 0:
             raise ServiceError(
                 f"drain_timeout_s must be >= 0, got {drain_timeout_s}"
@@ -427,17 +421,16 @@ class AdvisorService:
         self._queue_depth = queue_depth
         self._capacity = max_concurrency + queue_depth
         self._default_deadline_s = default_deadline_s
-        self._default_kernel = cost_kernel
         self._clock = clock
         self._drain_timeout_s = drain_timeout_s
         self._watchdog_grace_s = watchdog_grace_s
-        self._stacks = KernelStacks(
+        self._stack = CostStack(
             schema,
             cost_source=cost_source,
             policy=resilience,
             whatif_cache_entries=whatif_cache_entries,
         )
-        self._registry = WorkloadRegistry(schema, self._stacks)
+        self._registry = WorkloadRegistry(schema, self._stack)
         self._pool = _WorkerPool(max_concurrency)
         self._lock = threading.Lock()
         self._statistics = ServiceStatistics()
@@ -463,7 +456,7 @@ class AdvisorService:
                 self._snapshot_dir,
                 schema=schema,
                 registry=self._registry,
-                stacks=self._stacks,
+                stack=self._stack,
             )
             self._restore_report = report
             if report.restored:
@@ -513,9 +506,10 @@ class AdvisorService:
         return self._registry
 
     @property
-    def kernel_stacks(self) -> KernelStacks:
-        """The shared per-kernel cost stacks (exposed for accounting)."""
-        return self._stacks
+    def kernel_stacks(self) -> CostStack:
+        """The shared kernel, resilient layer and what-if facade
+        (exposed for accounting)."""
+        return self._stack
 
     @property
     def restore_report(self) -> durability.RestoreReport | None:
@@ -524,7 +518,7 @@ class AdvisorService:
 
     def coalescer(self, kernel: str) -> None:
         """Always ``None``: the service has no cross-request pricing
-        coalescer; every request prices through its kernel stack's
+        coalescer; every request prices through the cost stack's
         resilient source.  Kept for callers that still ask for one
         (``perfbench/workloads.py`` treats ``None`` as "no
         coalescer"); remove it once they stop."""
@@ -589,14 +583,12 @@ class AdvisorService:
     def submit(self, request: RecommendRequest) -> ServiceTicket:
         """Admit one request and start it as soon as a worker frees up.
 
-        Validation (unknown workload/algorithm/kernel, bad budget) and
+        Validation (unknown workload/algorithm, bad budget) and
         admission rejections raise synchronously; everything that can
         only fail later surfaces through the ticket's future.
         """
         registration = self._registry.get(request.workload)
         check_algorithm(request.algorithm)
-        kernel = request.cost_kernel or self._default_kernel
-        check_cost_kernel(kernel)
         budget = coerce_budget(
             self._schema, request.budget_share, request.budget_bytes
         )
@@ -625,9 +617,7 @@ class AdvisorService:
             )
 
         self._pool.submit(
-            lambda: self._run(
-                record, registration, version, kernel, select, respond
-            )
+            lambda: self._run(record, registration, version, select, respond)
         )
         return ServiceTicket(record.request_id, record.stream, record.future)
 
@@ -637,14 +627,12 @@ class AdvisorService:
         The whole sweep holds a single concurrency slot and a single
         deadline: admission control sees one request no matter how many
         budget shares it answers.  Every point prices through the
-        kernel's resident what-if facade, so a sweep over a warm
+        resident what-if facade, so a sweep over a warm
         registration re-prices nothing — and per-point progress streams
         on the ticket's event stream (``sweep_point`` records between
         the step events).
         """
         registration = self._registry.get(request.workload)
-        kernel = request.cost_kernel or self._default_kernel
-        check_cost_kernel(kernel)
         # Shares were range-checked by SweepRequest; coercing each one
         # against the schema keeps budget validation synchronous too.
         for share in request.budget_shares:
@@ -699,9 +687,7 @@ class AdvisorService:
             )
 
         self._pool.submit(
-            lambda: self._run(
-                record, registration, version, kernel, select, respond
-            )
+            lambda: self._run(record, registration, version, select, respond)
         )
         return ServiceTicket(record.request_id, record.stream, record.future)
 
@@ -800,7 +786,6 @@ class AdvisorService:
         record: _RequestRecord,
         registration: WorkloadRegistration,
         version: int,
-        kernel: str,
         select: Callable[..., SelectionResult | SweepResult],
         respond: Callable[..., RecommendResponse | SweepResponse],
     ) -> None:
@@ -816,19 +801,19 @@ class AdvisorService:
         queue_seconds = max(0.0, started - record.submitted_at)
         telemetry = Telemetry(sinks=(StreamSink(record.stream),))
         try:
-            resilient, optimizer = self._stacks.stack(kernel)
-            warm = registration.is_priced(kernel, version)
+            optimizer = self._stack.optimizer
+            warm = registration.is_priced(version)
             before = optimizer.statistics.copy()
             outcome = select(optimizer, telemetry)
             wall_seconds = max(0.0, self._clock() - started)
             metrics = telemetry.metrics
-            self._stacks.publish(
-                metrics, kernel, optimizer.statistics.since(before)
+            self._stack.publish(
+                metrics, optimizer.statistics.since(before)
             )
             lifetime = self._account_completion(
                 record,
                 registration,
-                (kernel, version),
+                version,
                 degraded=outcome.status == STATUS_DEGRADED,
                 warm=warm,
                 queue_seconds=queue_seconds,
@@ -843,7 +828,7 @@ class AdvisorService:
             metrics.gauge("service.wall_seconds").set(wall_seconds)
             metrics.gauge("service.warm").set(1 if warm else 0)
             metrics.gauge("service.breaker_state").set(
-                resilient.statistics.breaker_state.value
+                self._stack.resilient.statistics.breaker_state.value
             )
             response = respond(
                 outcome,
@@ -876,14 +861,14 @@ class AdvisorService:
         self,
         record: _RequestRecord,
         registration: WorkloadRegistration,
-        priced: tuple[str, int],
+        version: int,
         *,
         degraded: bool,
         warm: bool,
         queue_seconds: float,
         wall_seconds: float,
     ) -> ServiceStatistics | None:
-        """Mark a request completed and its ``(kernel, version)`` priced
+        """Mark a request completed and its workload ``version`` priced
         (later requests there run warm); returns the lifetime counters,
         or ``None`` when the request already reached a terminal state."""
         with self._lock:
@@ -900,7 +885,7 @@ class AdvisorService:
             statistics.wall_seconds_total += wall_seconds
             self._recent_wall.append(wall_seconds)
             registration.served += 1
-            registration.mark_priced(*priced)
+            registration.mark_priced(version)
             self._release_slot(record)
             return statistics.copy()
 
@@ -1033,7 +1018,7 @@ class AdvisorService:
                 schema=self._schema,
                 registry=self._registry,
                 sequence=sequence,
-                stacks=self._stacks,
+                stack=self._stack,
             )
             with self._lock:
                 self._statistics.snapshot_writes += 1
@@ -1063,20 +1048,15 @@ class AdvisorService:
     def gauges(self) -> dict[str, float]:
         """The current ``service.*`` gauge values.
 
-        ``service.breaker_state`` reports the worst (highest) breaker
-        level across the kernel stacks built so far: 0 closed,
-        1 half-open, 2 open.  ``service.snapshot_age_seconds`` is -1
-        when no snapshot was ever written or restored.
+        ``service.breaker_state`` reports the cost stack's breaker:
+        0 closed, 1 half-open, 2 open.  ``service.snapshot_age_seconds``
+        is -1 when no snapshot was ever written or restored.
         """
         registry = MetricsRegistry()
         registry.publish("service", self.statistics)
-        breaker = 0
-        for kernel in self._stacks.built_kernels():
-            resilient, _ = self._stacks.stack(kernel)
-            breaker = max(
-                breaker, resilient.statistics.breaker_state.value
-            )
-        registry.gauge("service.breaker_state").set(breaker)
+        registry.gauge("service.breaker_state").set(
+            self._stack.resilient.statistics.breaker_state.value
+        )
         age = self.snapshot_age_seconds()
         registry.gauge("service.snapshot_age_seconds").set(
             -1.0 if age is None else age
@@ -1097,8 +1077,8 @@ class AdvisorService:
         """Liveness report for supervisors (the ``health`` protocol op).
 
         JSON-safe: status, admission pressure, worker-pool liveness,
-        watchdog counters, snapshot freshness, and per-kernel circuit
-        breaker states.
+        watchdog counters, snapshot freshness, and the circuit breaker's
+        state.
         """
         with self._lock:
             statistics = self._statistics.copy()
@@ -1110,12 +1090,7 @@ class AdvisorService:
             status = "draining"
         else:
             status = "ok"
-        breakers = {}
-        for kernel in self._stacks.built_kernels():
-            resilient, _ = self._stacks.stack(kernel)
-            breakers[kernel] = (
-                resilient.statistics.breaker_state.name.lower()
-            )
+        breaker = self._stack.resilient.statistics.breaker_state
         age = self.snapshot_age_seconds()
         return {
             "status": status,
@@ -1147,7 +1122,7 @@ class AdvisorService:
                 "restores": statistics.snapshot_restores,
                 "corruptions": statistics.snapshot_corruptions,
             },
-            "breakers": breakers,
+            "breaker": breaker.name.lower(),
         }
 
     def ready(self) -> dict:

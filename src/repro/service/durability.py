@@ -52,7 +52,7 @@ __all__ = [
 logger = logging.getLogger("repro.service.durability")
 
 SNAPSHOT_FORMAT = "repro-service-snapshot"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 SNAPSHOT_FILENAME = "service-snapshot.json"
 
 _RESTORE_OK = "ok"
@@ -101,26 +101,17 @@ def snapshot_path(directory: str | Path) -> Path:
     return Path(directory) / SNAPSHOT_FILENAME
 
 
-def _workload_payload(registration, stacks=None) -> dict:
+def _workload_payload(registration, stack) -> dict:
     """One registration (queries, in workload order, plus its costs).
 
     Query *order* is significant: the what-if cache export below is
     keyed by query position, so restore must rebuild it verbatim.
 
-    When ``stacks`` (the service's :class:`~repro.advisor.KernelStacks`)
-    is given, the shared what-if caches are exported scoped to this
-    registration's queries, one section per built kernel — that is what
-    lets a restored service answer a repeat request with *zero* backend
-    calls.
+    The ``whatif`` section is the cache of ``stack`` (the service's
+    :class:`~repro.advisor.CostStack`) scoped to this registration's
+    queries — that is what lets a restored service answer a repeat
+    request with *zero* backend calls.
     """
-    queries = tuple(registration.workload)
-    whatif = {}
-    if stacks is not None:
-        for kernel in sorted(stacks.built_kernels()):
-            _, optimizer = stacks.stack(kernel)
-            entries = optimizer.export_cache(queries)
-            if entries["cost"] or entries["maintenance"]:
-                whatif[kernel] = entries
     return {
         "name": registration.name,
         "version": registration.version,
@@ -135,12 +126,12 @@ def _workload_payload(registration, stacks=None) -> dict:
             }
             for query in registration.workload
         ],
-        "whatif": whatif,
+        "whatif": stack.optimizer.export_cache(registration.workload),
     }
 
 
 def write_snapshot(
-    directory: str | Path, *, schema, registry, sequence: int, stacks=None
+    directory: str | Path, *, schema, registry, sequence: int, stack
 ) -> Path:
     """Atomically write one snapshot; returns the snapshot path.
 
@@ -153,7 +144,7 @@ def write_snapshot(
         "schema_fingerprint": schema_fingerprint(schema),
         "sequence": sequence,
         "workloads": [
-            _workload_payload(registration, stacks)
+            _workload_payload(registration, stack)
             for registration in registry.registrations()
         ],
     }
@@ -246,7 +237,7 @@ def read_snapshot(
 
 
 def restore_registry(
-    directory: str | Path, *, schema, registry, stacks=None
+    directory: str | Path, *, schema, registry, stack
 ) -> RestoreReport:
     """Restore registrations and what-if caches from a snapshot, if sane.
 
@@ -254,8 +245,8 @@ def restore_registry(
     longer matches) degrades to a cold start: nothing is installed into
     ``registry`` and the report says why.  On success every snapshotted
     workload is re-registered at its old version, its what-if cache
-    entries are re-installed bit-identically into ``stacks``, and each
-    kernel it carried entries for counts as priced at that version (the
+    entries are re-installed bit-identically into ``stack``, and a
+    workload that carried entries counts as priced at that version (the
     first request there runs warm).
     """
     payload, reason = read_snapshot(directory)
@@ -289,15 +280,12 @@ def restore_registry(
                 version=int(entry["version"]),
                 served=int(entry["served"]),
             )
-            if stacks is not None:
-                for kernel, cached in entry["whatif"].items():
-                    _, optimizer = stacks.stack(kernel)
-                    restored_entries += optimizer.import_cache(
-                        queries, cached
-                    )
-                    registration.mark_priced(
-                        kernel, registration.version
-                    )
+            cached = entry["whatif"]
+            if cached["cost"] or cached["maintenance"]:
+                restored_entries += stack.optimizer.import_cache(
+                    queries, cached
+                )
+                registration.mark_priced(registration.version)
     except (
         KeyError,
         TypeError,

@@ -87,7 +87,6 @@ _REQUEST_FIELDS = (
     "budget_share",
     "budget_bytes",
     "algorithm",
-    "cost_kernel",
     "deadline_s",
     "candidate_width",
     "request_id",
@@ -96,7 +95,6 @@ _REQUEST_FIELDS = (
 _SWEEP_FIELDS = (
     "workload",
     "budget_shares",
-    "cost_kernel",
     "deadline_s",
     "request_id",
 )

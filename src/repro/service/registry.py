@@ -3,7 +3,7 @@
 The service's whole reason to exist is residency: what-if cache
 entries and compiled workload packs survive between requests.  That
 makes workload *change* the dangerous operation — this module owns it.
-``update`` and ``evict`` invalidate the shared what-if caches *scoped
+``update`` and ``evict`` invalidate the shared what-if cache *scoped
 to the affected queries* (via ``WhatIfOptimizer.clear_cache(queries)``),
 so the entries and counters of every other registered workload survive
 untouched.
@@ -16,9 +16,9 @@ entries across an ``update``.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.advisor import KernelStacks
+from repro.advisor import CostStack
 from repro.exceptions import ServiceError, UnknownWorkloadError
 from repro.workload.query import Query, Workload
 
@@ -34,28 +34,26 @@ class WorkloadRegistration:
     version: int = 1
     served: int = 0
     """Completed recommend requests against this registration."""
-    priced: dict[str, int] = field(default_factory=dict)
-    """Cost kernel -> the last workload version a request priced on
-    that kernel's what-if stack (per kernel, like the stacks)."""
+    priced: int = 0
+    """The last workload version a request priced (0: none yet)."""
 
-    def is_priced(self, kernel: str, version: int) -> bool:
-        """True when an earlier request priced ``version`` on
-        ``kernel`` — a request at that version is *warm*."""
-        return self.priced.get(kernel) == version
+    def is_priced(self, version: int) -> bool:
+        """True when an earlier request priced ``version`` — a request
+        at that version is *warm*."""
+        return self.priced == version
 
-    def mark_priced(self, kernel: str, version: int) -> None:
-        """Record that a request priced ``version`` on ``kernel``
-        (never moves the marker back to an older version)."""
-        if self.priced.get(kernel, 0) < version:
-            self.priced[kernel] = version
+    def mark_priced(self, version: int) -> None:
+        """Record that a request priced ``version`` (never moves the
+        marker back to an older version)."""
+        self.priced = max(self.priced, version)
 
 
 class WorkloadRegistry:
-    """Named workloads sharing one schema and one set of kernel stacks."""
+    """Named workloads sharing one schema and one cost stack."""
 
-    def __init__(self, schema, stacks: KernelStacks) -> None:
+    def __init__(self, schema, stack: CostStack) -> None:
         self._schema = schema
-        self._stacks = stacks
+        self._stack = stack
         self._lock = threading.Lock()
         self._registrations: dict[str, WorkloadRegistration] = {}
 
@@ -179,17 +177,13 @@ class WorkloadRegistry:
             return self._invalidate(list(registration.workload))
 
     def _invalidate(self, queries: list[Query]) -> int:
-        # Clears by query content key across every kernel stack built so
-        # far.  A query shared verbatim by another registration loses
-        # its entries too — a repricing hiccup, never a correctness
-        # problem, since the caches are content-keyed and deterministic.
+        # Clears by query content key.  A query shared verbatim by
+        # another registration loses its entries too — a repricing
+        # hiccup, never a correctness problem, since the caches are
+        # content-keyed and deterministic.
         if not queries:
             return 0
-        removed = 0
-        for kernel in self._stacks.built_kernels():
-            _, optimizer = self._stacks.stack(kernel)
-            removed += optimizer.clear_cache(queries)
-        return removed
+        return self._stack.optimizer.clear_cache(queries)
 
     def _check_schema(self, workload: Workload) -> None:
         if workload.schema is not self._schema:

@@ -39,8 +39,6 @@ class RecommendRequest:
         Exactly one of: the Eq. 10 share ``w``, or absolute bytes.
     algorithm:
         One of the advisor algorithms (``extend`` by default).
-    cost_kernel:
-        ``"scalar"`` / ``"vectorized"`` / ``None`` (service default).
     deadline_s:
         Per-request wall-clock budget, measured from *submission* (queue
         wait counts against it).  ``None`` uses the service default.
@@ -57,7 +55,6 @@ class RecommendRequest:
     budget_share: float | None = None
     budget_bytes: float | None = None
     algorithm: str = "extend"
-    cost_kernel: str | None = None
     deadline_s: float | None = None
     candidate_width: int = 4
     request_id: str | None = None
@@ -82,8 +79,8 @@ class RecommendResponse:
     status: str
     warm: bool
     """True when the request ran against a workload version an earlier
-    request (or the restored snapshot) had already priced on its cost
-    kernel, so its pricing came from the resident what-if cache."""
+    request (or the restored snapshot) had already priced, so its
+    pricing came from the resident what-if cache."""
     wall_seconds: float
     queue_seconds: float
     result: SelectionResult
@@ -122,8 +119,8 @@ class SweepRequest:
     The sweep is admission-controlled as *one* request (one concurrency
     slot, one deadline covering all points) and runs one Extend run per
     budget share (:mod:`repro.core.sweep`), in the given order, over the
-    kernel's resident what-if cache — so a repeat sweep over a warm
-    registration costs no backend call.
+    resident what-if cache — so a repeat sweep over a warm registration
+    costs no backend call.
 
     Parameters
     ----------
@@ -132,7 +129,7 @@ class SweepRequest:
     budget_shares:
         The Eq. 10 shares to answer; strict request inputs — each must
         lie in ``(0, 1]``, duplicates are rejected.
-    cost_kernel / deadline_s / request_id:
+    deadline_s / request_id:
         As on :class:`RecommendRequest`.  On deadline expiry the sweep
         degrades to a tagged *partial* frontier of the points already
         answered instead of failing.
@@ -140,7 +137,6 @@ class SweepRequest:
 
     workload: str
     budget_shares: tuple[float, ...] = ()
-    cost_kernel: str | None = None
     deadline_s: float | None = None
     request_id: str | None = None
 

@@ -26,16 +26,12 @@ def snapshot_dir(tmp_path):
 
 
 def _cache_entries(service, name: str) -> str:
-    """The what-if cache entries of one registration, per built kernel,
-    as canonical JSON (``json`` writes floats by ``repr``, so equal
-    strings mean bit-identical costs)."""
-    queries = tuple(service.registry.get(name).workload)
-    stacks = service.kernel_stacks
+    """The what-if cache entries of one registration as canonical JSON
+    (``json`` writes floats by ``repr``, so equal strings mean
+    bit-identical costs)."""
+    queries = service.registry.get(name).workload
     return json.dumps(
-        {
-            kernel: stacks.stack(kernel)[1].export_cache(queries)
-            for kernel in sorted(stacks.built_kernels())
-        },
+        service.kernel_stacks.optimizer.export_cache(queries),
         sort_keys=True,
     )
 
@@ -187,8 +183,37 @@ class TestCorruptionHandling:
         warm cost columns is discarded as version skew."""
         path = self._seed(small_workload, snapshot_dir)
         envelope = json.loads(path.read_text())
-        assert envelope["version"] == durability.SNAPSHOT_VERSION == 2
+        assert envelope["version"] == durability.SNAPSHOT_VERSION == 3
         envelope["version"] = 1
+        path.write_text(json.dumps(envelope))
+        with AdvisorService(
+            small_workload.schema, snapshot_dir=snapshot_dir
+        ) as victim:
+            report = victim.restore_report
+            assert report is not None and report.corrupt
+            assert report.reason == "version-skew"
+            assert victim.workloads() == ()
+
+    def test_version_two_snapshot_cold_starts(
+        self, small_workload, snapshot_dir
+    ):
+        """A snapshot of the format with one what-if section per cost
+        kernel — checksum-valid, with entries — is discarded as
+        version skew."""
+        import hashlib
+
+        path = self._seed(small_workload, snapshot_dir)
+        envelope = json.loads(path.read_text())
+        for workload in envelope["payload"]["workloads"]:
+            assert workload["whatif"]["cost"]
+            workload["whatif"] = {"vectorized": workload["whatif"]}
+        body = json.dumps(
+            envelope["payload"], sort_keys=True, separators=(",", ":")
+        )
+        envelope["checksum"] = hashlib.sha256(
+            body.encode("utf-8")
+        ).hexdigest()
+        envelope["version"] = 2
         path.write_text(json.dumps(envelope))
         with AdvisorService(
             small_workload.schema, snapshot_dir=snapshot_dir
@@ -297,7 +322,7 @@ class TestSnapshotOps:
         assert health["watchdog"]["enabled"]
         assert health["snapshots"]["enabled"]
         assert health["snapshots"]["directory"] == str(snapshot_dir)
-        assert "vectorized" in health["breakers"]
+        assert health["breaker"] == "closed"
         # JSON-safe for the protocol op.
         json.dumps(health)
 
@@ -331,7 +356,6 @@ class TestDrain:
             max_concurrency=1,
             queue_depth=1,
             cost_source=source,
-            cost_kernel="scalar",
         )
         try:
             service.register_workload("w", small_workload)
@@ -354,7 +378,6 @@ class TestDrain:
             max_concurrency=1,
             queue_depth=1,
             cost_source=source,
-            cost_kernel="scalar",
             watchdog_grace_s=0.1,
             watchdog_interval_s=0.0,
         )
@@ -383,7 +406,6 @@ class TestWatchdog:
             max_concurrency=1,
             queue_depth=1,
             cost_source=source,
-            cost_kernel="scalar",
             clock=clock,
             watchdog_grace_s=1.0,
             watchdog_interval_s=0.0,
@@ -437,7 +459,6 @@ class TestRetryAfterHint:
             max_concurrency=1,
             queue_depth=0,
             cost_source=source,
-            cost_kernel="scalar",
         )
         try:
             service.register_workload("w", small_workload)

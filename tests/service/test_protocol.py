@@ -224,6 +224,20 @@ class TestErrors:
         assert stats["gauges"]["service.admitted"] == 0
         assert stats["gauges"].get("whatif.calls", 0) == 0
 
+    def test_stale_cost_kernel_field_is_ignored(self, service):
+        """The kernel switch is gone; a client that still sends it gets
+        the kernel's answer, like any unknown field."""
+        request = {"op": "recommend", "workload": "base",
+                   "budget_share": 0.5}
+        _, responses = run_protocol(
+            service,
+            [request, {**request, "cost_kernel": "scalar"}],
+        )
+        plain, stale = responses
+        assert stale["ok"]
+        assert stale["indexes"] == plain["indexes"]
+        assert stale["total_cost"] == plain["total_cost"]
+
     def test_too_deeply_nested_line_is_a_parse_error(self, service):
         # The JSON parser raises RecursionError, not JSONDecodeError,
         # on nesting this deep.
@@ -257,3 +271,4 @@ class TestErrors:
             service.submit(
                 RecommendRequest(workload="base", budget_share=0.5)
             )
+

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.advisor import KernelStacks
+from repro.advisor import CostStack
 from repro.exceptions import ServiceError, UnknownWorkloadError
 from repro.service import WorkloadRegistry
 from repro.workload.generator import GeneratorConfig, generate_workload
@@ -13,8 +13,8 @@ from repro.workload.query import Workload
 
 @pytest.fixture
 def registry(tiny_workload):
-    stacks = KernelStacks(tiny_workload.schema)
-    return WorkloadRegistry(tiny_workload.schema, stacks), stacks
+    stack = CostStack(tiny_workload.schema)
+    return WorkloadRegistry(tiny_workload.schema, stack), stack
 
 
 class TestLifecycle:
@@ -58,8 +58,8 @@ class TestScopedInvalidation:
     def test_update_clears_only_dropped_queries(
         self, registry, tiny_workload
     ):
-        table, stacks = registry
-        _, optimizer = stacks.stack("vectorized")
+        table, stack = registry
+        optimizer = stack.optimizer
         table.register("w", tiny_workload)
         for query in tiny_workload:
             optimizer.sequential_cost(query)
@@ -74,26 +74,11 @@ class TestScopedInvalidation:
             optimizer.sequential_cost(query)  # still cached
         assert optimizer.calls == before
 
-    def test_update_invalidates_across_all_built_kernels(
-        self, registry, tiny_workload
-    ):
-        table, stacks = registry
-        table.register("w", tiny_workload)
-        for kernel in ("scalar", "vectorized"):
-            _, optimizer = stacks.stack(kernel)
-            for query in tiny_workload:
-                optimizer.sequential_cost(query)
-        _, invalidated = table.update(
-            "w",
-            Workload(tiny_workload.schema, list(tiny_workload)[:5]),
-        )
-        assert invalidated == 2  # one dropped query × two kernels
-
     def test_evict_clears_the_whole_workload(
         self, registry, tiny_workload
     ):
-        table, stacks = registry
-        _, optimizer = stacks.stack("vectorized")
+        table, stack = registry
+        optimizer = stack.optimizer
         table.register("w", tiny_workload)
         for query in tiny_workload:
             optimizer.sequential_cost(query)
@@ -104,24 +89,24 @@ class TestScopedInvalidation:
     ):
         table, _ = registry
         registration = table.register("w", tiny_workload)
-        registration.mark_priced("vectorized", 1)
-        assert registration.is_priced("vectorized", 1)
-        assert not registration.is_priced("scalar", 1)
+        assert not registration.is_priced(1)
+        registration.mark_priced(1)
+        assert registration.is_priced(1)
         updated, _ = table.update("w", tiny_workload)
         assert updated is registration
         assert updated.version == 2
-        assert not registration.is_priced("vectorized", 2)
+        assert not registration.is_priced(2)
         # A request admitted against version 1 that finishes late must
         # not move the marker back.
-        registration.mark_priced("vectorized", 2)
-        registration.mark_priced("vectorized", 1)
-        assert registration.is_priced("vectorized", 2)
+        registration.mark_priced(2)
+        registration.mark_priced(1)
+        assert registration.is_priced(2)
 
     def test_update_keeps_other_workloads_cached(
         self, registry, tiny_workload
     ):
-        table, stacks = registry
-        _, optimizer = stacks.stack("vectorized")
+        table, stack = registry
+        optimizer = stack.optimizer
         half_a = Workload(
             tiny_workload.schema, list(tiny_workload)[:3]
         )

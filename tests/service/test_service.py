@@ -418,7 +418,6 @@ class TestAdmissionControl:
             max_concurrency=1,
             queue_depth=1,
             cost_source=source,
-            cost_kernel="scalar",
         )
         try:
             service.register_workload("w", small_workload)
@@ -457,14 +456,6 @@ class TestAdmissionControl:
                     workload="w", budget_share=0.3, algorithm="magic"
                 )
             )
-        with pytest.raises(ExperimentError):
-            service.submit(
-                RecommendRequest(
-                    workload="w",
-                    budget_share=0.3,
-                    cost_kernel="quantum",
-                )
-            )
         assert service.statistics.admitted == 0
 
     def test_closed_service_rejects_submits(self, small_workload):
@@ -501,7 +492,6 @@ class TestStreaming:
             max_concurrency=1,
             queue_depth=1,
             cost_source=source,
-            cost_kernel="scalar",
         )
         try:
             service.register_workload("w", small_workload)
@@ -600,7 +590,6 @@ class TestObservability:
             max_concurrency=1,
             queue_depth=1,
             cost_source=_BoomSource(),
-            cost_kernel="scalar",
         ) as service:
             service.register_workload("w", small_workload)
             ticket = service.submit(

@@ -36,7 +36,6 @@ def faulty_service(workload, seed, **kwargs):
     service = AdvisorService(
         workload.schema,
         cost_source=source,
-        cost_kernel="scalar",
         resilience=ResiliencePolicy(
             max_retries=5, backoff_base_s=0.0
         ),

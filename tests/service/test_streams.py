@@ -58,7 +58,6 @@ class TestKilledStreamingClients:
             max_concurrency=1,
             queue_depth=1,
             cost_source=source,
-            cost_kernel="scalar",
         )
         try:
             service.register_workload("w", small_workload)

@@ -164,16 +164,6 @@ class TestServiceSweep:
                 SweepRequest(workload="nope", budget_shares=SHARES)
             )
 
-    def test_unknown_kernel_raises(self, service):
-        with pytest.raises(ExperimentError, match="kernel"):
-            service.submit_sweep(
-                SweepRequest(
-                    workload="w",
-                    budget_shares=SHARES,
-                    cost_kernel="quantum",
-                )
-            )
-
     def test_to_dict_is_json_safe(self, service):
         response = service.sweep(
             SweepRequest(workload="w", budget_shares=SHARES)

@@ -69,6 +69,20 @@ class TestBudgets:
             advisor.recommend(_SQL, budget_bytes=-1)
 
 
+class TestCostStack:
+    def test_the_kernel_is_the_only_analytic_backend(self, advisor):
+        stack = advisor.kernel_stacks
+        assert stack.stack("vectorized") == (
+            advisor.resilience, advisor.optimizer
+        )
+        assert stack.analytic("vectorized") is stack.kernel
+        for name in ("scalar", "quantum"):
+            with pytest.raises(ExperimentError, match="kernel"):
+                stack.stack(name)
+            with pytest.raises(ExperimentError, match="kernel"):
+                stack.analytic(name)
+
+
 class TestAlgorithms:
     @pytest.mark.parametrize(
         "algorithm",
@@ -306,14 +320,6 @@ class TestRecommendSweep:
     def test_rejects_bad_shares(self, advisor, bad):
         with pytest.raises(ExperimentError):
             advisor.recommend_sweep(_SQL, budget_shares=bad)
-
-    def test_rejects_unknown_kernel(self, advisor):
-        with pytest.raises(ExperimentError, match="kernel"):
-            advisor.recommend_sweep(
-                _SQL,
-                budget_shares=self.SHARES,
-                cost_kernel="quantum",
-            )
 
     def test_zero_deadline_degrades_to_partial(self, advisor):
         sweep = advisor.recommend_sweep(

@@ -206,7 +206,9 @@ class TestServe:
             monkeypatch,
             capsys,
             self._BASE + [
-                "--cost-kernel", "scalar",
+                "--fault-rate", "0.2",
+                "--fault-seed", "7",
+                "--max-retries", "0",
                 "--default-deadline", "60",
             ],
             [
@@ -219,11 +221,12 @@ class TestServe:
         response = responses[0]
         assert response["ok"]
         assert response["status"] == "completed"
-        # The CLI --cost-kernel default reaches the request: the
-        # scalar stack publishes no compiled-kernel gauges.
-        assert not any(
-            name.startswith("kernel.") for name in response["gauges"]
-        )
+        # The advise flags reach the service's cost stack: with
+        # --max-retries 0 every injected fault falls back at once.
+        gauges = response["gauges"]
+        assert gauges["resilience.transient_failures"] > 0
+        assert gauges["resilience.retries"] == 0
+        assert gauges["resilience.fallback_calls"] > 0
 
     def test_serve_rejects_unknown_workload(self, monkeypatch, capsys):
         exit_code, responses, _ = self._run(
