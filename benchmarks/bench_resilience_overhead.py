@@ -9,10 +9,10 @@ an Extend run against the bare source, the resilient wrapper, and the
 wrapper under a 20% injected fault rate (retries plus fallback
 pricing), and assert all three select the identical configuration.
 
-Each case runs on both cost kernels: the scalar model, priced pair by
-pair, and the vectorized kernel, priced in ``pair_costs`` batches.
-Each kernel has its own fault-free reference and a fallback of its own
-flavour, as :class:`~repro.advisor.KernelStacks` wires them.
+Each case runs on both analytic backends: the scalar reference model,
+priced pair by pair (what a user plugs in as ``cost_source=``), and the
+vectorized kernel, priced in ``pair_costs`` batches.  Each backend has
+its own fault-free reference and a fallback of its own flavour.
 """
 
 from __future__ import annotations

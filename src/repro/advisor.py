@@ -20,6 +20,7 @@ footprint (Eq. 10) or as absolute bytes.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -121,9 +122,11 @@ def coerce_budget(
             "specify exactly one of budget_share / budget_bytes"
         )
     if budget_bytes is not None:
-        if budget_bytes < 0:
+        # NaN fails every comparison, so test for the accepted range.
+        if not 0 <= budget_bytes <= sys.float_info.max:
             raise BudgetError(
-                f"budget_bytes must be >= 0, got {budget_bytes}"
+                "budget_bytes must be a finite number >= 0, got "
+                f"{budget_bytes}"
             )
         return float(budget_bytes)
     return relative_budget(schema, budget_share)
@@ -173,6 +176,13 @@ class CostStack:
         self.optimizer = WhatIfOptimizer(
             self.resilient, max_entries=whatif_cache_entries
         )
+
+    def invalidate(self, queries: Sequence[Query]) -> int:
+        """Drop every answer the stack holds for ``queries`` (by content
+        key): the facade's cache entries and the resilient layer's stale
+        answers.  Returns the facade entries removed."""
+        self.resilient.clear_stale(queries)
+        return self.optimizer.clear_cache(queries)
 
     def publish(
         self, registry: MetricsRegistry, whatif: WhatIfStatistics

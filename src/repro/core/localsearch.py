@@ -419,7 +419,7 @@ def swap_local_search(
                             ratio=(
                                 (cost_before - current_cost) / memory_delta
                                 if memory_delta > 0
-                                else float("inf")
+                                else None
                             ),
                             cost_before=cost_before,
                             cost_after=current_cost,

@@ -82,16 +82,18 @@ def normalize_budget_shares(
             raise ExperimentError(
                 f"budget shares must be numbers, got {share!r}"
             )
-        value = float(share)
-        if math.isnan(value) or not value > 0:
+        # NaN fails every comparison; an int too large for a float
+        # fails the second test before the conversion.
+        if not share > 0:
             raise ExperimentError(
                 f"budget shares must be > 0, got {share!r}"
             )
-        if value > 1:
+        if share > 1:
             raise ExperimentError(
                 f"budget shares are relative to the all-singles "
                 f"footprint (Eq. 10) and must be <= 1, got {share!r}"
             )
+        value = float(share)
         if value in seen:
             raise ExperimentError(
                 f"duplicate budget share {share!r}; each share yields "

@@ -12,6 +12,7 @@ plus one sorted value column per indexed attribute.
 from __future__ import annotations
 
 import math
+import sys
 import weakref
 from typing import Iterable
 
@@ -79,6 +80,13 @@ def relative_budget(schema: Schema, w: float) -> float:
     ``w`` is the share of the memory needed to index every attribute once;
     the paper sweeps ``w`` between 0 and 1.
     """
-    if w < 0:
-        raise BudgetError(f"relative budget share must be >= 0, got {w}")
-    return w * single_attribute_total_memory(schema)
+    # NaN fails every comparison, so test for the accepted range; a
+    # finite share can still give an infinite (or, as an int, an
+    # unconvertible) budget.
+    budget = w * single_attribute_total_memory(schema) if w >= 0 else -1
+    if not 0 <= budget <= sys.float_info.max:
+        raise BudgetError(
+            "relative budget share must be >= 0 and give a finite "
+            f"budget, got {w}"
+        )
+    return budget

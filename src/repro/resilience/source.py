@@ -96,6 +96,9 @@ class ResilientCostSource:
         # order-dependent.  RLock because a fallback could itself be a
         # resilient source.
         self._lock = threading.RLock()
+        # Guards the stale cache alone: clear_stale must not wait for a
+        # backend call in flight under _lock.
+        self._stale_lock = threading.Lock()
         self._breaker = CircuitBreaker(
             self._policy.breaker_threshold,
             self._policy.breaker_reset_s,
@@ -157,6 +160,17 @@ class ResilientCostSource:
         """Entries available for stale-cache fallback."""
         return len(self._stale)
 
+    def clear_stale(self, queries) -> int:
+        """Drop the stale answers of ``queries`` (by content key, like
+        :meth:`~repro.cost.whatif.WhatIfOptimizer.clear_cache`);
+        returns how many were dropped."""
+        scope = {query.cache_key for query in queries}
+        with self._stale_lock:
+            doomed = [key for key in self._stale if key[1] in scope]
+            for key in doomed:
+                del self._stale[key]
+        return len(doomed)
+
     # ------------------------------------------------------------------
     # CostSource protocol
     # ------------------------------------------------------------------
@@ -206,8 +220,8 @@ class ResilientCostSource:
                     dtype=np.float64,
                 )
             values = np.asarray(answer, dtype=np.float64)
-            for key, value in zip(keys, values.tolist()):
-                self._stale[key] = value
+            with self._stale_lock:
+                self._stale.update(zip(keys, values.tolist()))
             return values
 
     # ------------------------------------------------------------------
@@ -228,7 +242,8 @@ class ResilientCostSource:
                 return self._fallback(
                     method, key, args, primary_error=answer
                 )
-            self._stale[key] = answer
+            with self._stale_lock:
+                self._stale[key] = answer
             return answer
 
     def _attempt(self, method: str, args: tuple):

@@ -351,7 +351,10 @@ class AdvisorService:
     whatif_cache_entries:
         Optional LRU bound on the long-lived what-if cost cache
         (``None`` = unbounded); evictions surface as the
-        ``whatif.evictions`` gauge.
+        ``whatif.evictions`` gauge.  It bounds that cache only: the
+        maintenance entries and the resilient layer's stale answers
+        are dropped with their queries on ``update``/``evict``, not by
+        this bound.
     clock:
         Monotonic time source (injectable for deterministic tests);
         feeds deadlines, the queue/wall timings, and snapshot age.
@@ -583,9 +586,10 @@ class AdvisorService:
     def submit(self, request: RecommendRequest) -> ServiceTicket:
         """Admit one request and start it as soon as a worker frees up.
 
-        Validation (unknown workload/algorithm, bad budget) and
-        admission rejections raise synchronously; everything that can
-        only fail later surfaces through the ticket's future.
+        Validation (unknown workload/algorithm, bad budget, a request
+        id already in flight) and admission rejections raise
+        synchronously; everything that can only fail later surfaces
+        through the ticket's future.
         """
         registration = self._registry.get(request.workload)
         check_algorithm(request.algorithm)
@@ -698,7 +702,8 @@ class AdvisorService:
 
         Applies the capacity gate, registers the request record, and
         starts its deadline clock; raises synchronously when the
-        service is closed, draining, or at capacity.
+        service is closed, draining, or at capacity, or when
+        ``request_id`` names a request still in flight.
         """
         with self._lock:
             if self._closed:
@@ -716,6 +721,28 @@ class AdvisorService:
                     "retry later",
                     retry_after_s=self._retry_after_hint(),
                 )
+            if request_id and request_id in self._active:
+                raise ServiceError(
+                    f"request id {request_id!r} is already in flight"
+                )
+            resolved_id = request_id
+            while not resolved_id or resolved_id in self._active:
+                # Auto-assigned ids step past explicit ones in flight.
+                self._request_counter += 1
+                resolved_id = f"req-{self._request_counter}"
+            if deadline_s is None:
+                deadline_s = self._default_deadline_s
+            record = _RequestRecord(
+                resolved_id,
+                EventStream(resolved_id),
+                Future(),
+                Deadline(deadline_s, clock=self._clock),
+                self._clock(),
+            )
+            # Counters move only once nothing above can raise: a
+            # request counted in flight must also be in _active, or
+            # its slot would never be released.
+            self._active[resolved_id] = record
             statistics.admitted += 1
             statistics.in_flight += 1
             statistics.peak_in_flight = max(
@@ -727,19 +754,6 @@ class AdvisorService:
             statistics.peak_queue_depth = max(
                 statistics.peak_queue_depth, statistics.queue_depth
             )
-            self._request_counter += 1
-            resolved_id = request_id or f"req-{self._request_counter}"
-            stream = EventStream(resolved_id)
-            if deadline_s is None:
-                deadline_s = self._default_deadline_s
-            record = _RequestRecord(
-                resolved_id,
-                stream,
-                Future(),
-                Deadline(deadline_s, clock=self._clock),
-                self._clock(),
-            )
-            self._active[resolved_id] = record
         return record
 
     def recommend(self, request: RecommendRequest) -> RecommendResponse:

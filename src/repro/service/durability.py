@@ -198,7 +198,9 @@ def read_snapshot(
         return None, "unreadable"
     try:
         envelope = json.loads(text)
-    except json.JSONDecodeError as error:
+    except (ValueError, RecursionError) as error:
+        # JSONDecodeError, an integer past the int-to-string digit
+        # limit, or nesting too deep for the parser.
         logger.warning(
             "snapshot %s is corrupt (bad JSON, likely a partial "
             "write): %s",

@@ -27,7 +27,9 @@ pairs with a positive finite frequency; any other entry is an
 ``"ok"`` plus an echoed ``"id"`` when the request had one — including
 error responses: even a line that does not parse as JSON has its
 ``"id"`` salvaged textually when possible, so request/response
-correlation survives malformed input.  With
+correlation survives malformed input.  An ``"id"`` holding a NaN or
+infinite number (``NaN``, ``Infinity``, ``1e400``) is not echoed:
+every output line is strict JSON (RFC 8259).  With
 ``"stream": true`` a recommend emits each step event as
 ``{"ok": true, "op": "event", ...}`` lines before the final response,
 so a client sees the construction frontier live.
@@ -156,19 +158,38 @@ def _salvage_id(line: str):
         return None
     try:
         return json.loads(match.group(1))
-    except json.JSONDecodeError:  # pragma: no cover - regex is stricter
+    except ValueError:  # an integer past the int-to-string digit limit
         return None
 
 
+def _echoable(identifier):
+    """``identifier`` if it can be echoed as strict JSON, else ``None``
+    (a NaN or infinite number anywhere in it would make the response
+    line unreadable to a strict parser)."""
+    try:
+        json.dumps(identifier, allow_nan=False)
+    except (ValueError, RecursionError):
+        return None
+    return identifier
+
+
 def _parse(line: str):
-    """``json.loads``, except that nesting too deep for the parser is
-    a ``JSONDecodeError`` like any other unparseable line (the parser
-    itself raises ``RecursionError``)."""
+    """``json.loads``, except that nesting too deep for the parser and
+    an integer literal past the interpreter's int-to-string digit limit
+    are a ``JSONDecodeError`` like any other unparseable line (the
+    parser itself raises ``RecursionError`` and a plain ``ValueError``
+    for them)."""
     try:
         return json.loads(line)
+    except json.JSONDecodeError:
+        raise
     except RecursionError:
         raise json.JSONDecodeError(
             "nesting too deep to parse", line, 0
+        ) from None
+    except ValueError:
+        raise json.JSONDecodeError(
+            "number too long to parse", line, 0
         ) from None
 
 
@@ -359,11 +380,11 @@ def serve_loop(
                         raise ServiceError(
                             "each input line must be a JSON object"
                         )
-                    correlation = message.get("id")
+                    correlation = _echoable(message.get("id"))
                     if not _handle(service, message, emit):
                         break
                 except json.JSONDecodeError as error:
-                    correlation = _salvage_id(line)
+                    correlation = _echoable(_salvage_id(line))
                     emit(_error_payload(error))
                 except (ReproError, TypeError) as error:
                     # TypeError covers unexpected RecommendRequest

@@ -3,9 +3,10 @@
 The service's whole reason to exist is residency: what-if cache
 entries and compiled workload packs survive between requests.  That
 makes workload *change* the dangerous operation — this module owns it.
-``update`` and ``evict`` invalidate the shared what-if cache *scoped
-to the affected queries* (via ``WhatIfOptimizer.clear_cache(queries)``),
-so the entries and counters of every other registered workload survive
+``update`` and ``evict`` invalidate the shared cost stack *scoped to
+the affected queries* (via :meth:`~repro.advisor.CostStack.invalidate`:
+the facade's cache and the resilient layer's stale answers), so the
+entries and counters of every other registered workload survive
 untouched.
 
 Invalidation is content-keyed, like the caches: a query that appears
@@ -183,7 +184,7 @@ class WorkloadRegistry:
         # content-keyed and deterministic.
         if not queries:
             return 0
-        return self._stack.optimizer.clear_cache(queries)
+        return self._stack.invalidate(queries)
 
     def _check_schema(self, workload: Workload) -> None:
         if workload.schema is not self._schema:

@@ -11,6 +11,7 @@ degradation, and cache reuse without scraping logs.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from repro.core.steps import SelectionResult, STATUS_DEGRADED
@@ -40,15 +41,16 @@ class RecommendRequest:
     algorithm:
         One of the advisor algorithms (``extend`` by default).
     deadline_s:
-        Per-request wall-clock budget, measured from *submission* (queue
-        wait counts against it).  ``None`` uses the service default.
-        On expiry the request degrades to a tagged best-so-far result
-        instead of failing.
+        Per-request wall-clock budget in seconds (finite, ``>= 0``),
+        measured from *submission* (queue wait counts against it).
+        ``None`` uses the service default.  On expiry the request
+        degrades to a tagged best-so-far result instead of failing.
     candidate_width:
         Maximum index width (a positive integer) of the two-step
         algorithms' candidate set and of the ``extend+swap`` swap pool.
     request_id:
-        Caller-chosen correlation id; auto-assigned when ``None``.
+        Caller-chosen correlation id (a string, unique among the
+        requests in flight); auto-assigned when ``None``.
     """
 
     workload: str
@@ -60,13 +62,27 @@ class RecommendRequest:
     request_id: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.workload:
-            raise ExperimentError("request needs a workload name")
-        if self.deadline_s is not None and self.deadline_s < 0:
-            raise BudgetError(
-                f"deadline_s must be >= 0, got {self.deadline_s}"
-            )
+        _check_common(self)
         check_candidate_width(self.candidate_width)
+
+
+def _check_common(request: RecommendRequest | SweepRequest) -> None:
+    """The checks every request shape shares."""
+    if not request.workload:
+        raise ExperimentError("request needs a workload name")
+    # NaN fails every comparison, so test for the accepted range.
+    deadline = request.deadline_s
+    if deadline is not None and not 0 <= deadline <= sys.float_info.max:
+        raise BudgetError(
+            f"deadline_s must be a finite number >= 0, got {deadline}"
+        )
+    if request.request_id is not None and not isinstance(
+        request.request_id, str
+    ):
+        raise ExperimentError(
+            "request_id must be a string, got "
+            f"{type(request.request_id).__name__}"
+        )
 
 
 @dataclass(frozen=True)
@@ -141,17 +157,12 @@ class SweepRequest:
     request_id: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.workload:
-            raise ExperimentError("request needs a workload name")
+        _check_common(self)
         object.__setattr__(
             self,
             "budget_shares",
             normalize_budget_shares(self.budget_shares),
         )
-        if self.deadline_s is not None and self.deadline_s < 0:
-            raise BudgetError(
-                f"deadline_s must be >= 0, got {self.deadline_s}"
-            )
 
 
 @dataclass(frozen=True)

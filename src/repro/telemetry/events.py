@@ -42,8 +42,9 @@ class StepEvent:
     """Cost reduction: exact for chosen steps, estimated for rejected."""
 
     memory_delta: int
-    ratio: float
-    """Benefit per additional byte — the Step 3 selection criterion."""
+    ratio: float | None
+    """Benefit per additional byte — the Step 3 selection criterion;
+    ``None`` for a swap that frees memory (no byte is added)."""
 
     cost_before: float | None = None
     cost_after: float | None = None

@@ -17,7 +17,6 @@ maintenance on every index of the table.
 from __future__ import annotations
 
 import enum
-import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
@@ -25,7 +24,13 @@ from typing import Callable, Iterable, Iterator, Sequence
 from repro.exceptions import WorkloadError
 from repro.workload.schema import Schema
 
-__all__ = ["Query", "QueryKind", "Workload"]
+__all__ = ["MAX_FREQUENCY", "Query", "QueryKind", "Workload"]
+
+MAX_FREQUENCY = 2.0**512
+"""The largest query frequency: the square root of the largest float,
+so a frequency-weighted cost stays finite for any per-execution cost
+below the same bound (a frequency of 1e308 makes every answer's total
+cost infinite)."""
 
 
 class QueryKind(enum.Enum):
@@ -64,7 +69,8 @@ class Query:
         written attributes (a deliberate simplification — see
         DESIGN.md §3).
     frequency:
-        Number of occurrences ``b_j`` (a positive, finite real weight).
+        Number of occurrences ``b_j``: a positive real weight of at
+        most :data:`MAX_FREQUENCY`.
     kind:
         The query type; defaults to SELECT.
     """
@@ -80,15 +86,15 @@ class Query:
             raise WorkloadError(
                 f"query {self.query_id} accesses no attributes"
             )
+        # NaN fails every comparison, so test for the accepted range.
         if (
             isinstance(self.frequency, bool)
             or not isinstance(self.frequency, numbers.Real)
-            or not math.isfinite(self.frequency)
-            or self.frequency <= 0
+            or not 0 < self.frequency <= MAX_FREQUENCY
         ):
             raise WorkloadError(
-                f"query {self.query_id} needs a positive finite frequency, "
-                f"got {self.frequency!r}"
+                f"query {self.query_id} needs a positive finite frequency "
+                f"of at most {MAX_FREQUENCY:.3g}, got {self.frequency!r}"
             )
         # Content identity for cost caching: costs depend on the table,
         # the attribute set, and the kind — never on query_id or

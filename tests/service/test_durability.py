@@ -153,6 +153,9 @@ class TestCorruptionHandling:
                 ),
                 "checksum-mismatch",
             ),
+            (lambda raw: b"[" * 100_000, "corrupt-json"),
+            (lambda raw: b'{"payload": ' + b"9" * 5000 + b"}",
+             "corrupt-json"),
         ],
     )
     def test_partial_or_flipped_snapshot_cold_starts(

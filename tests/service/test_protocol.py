@@ -4,13 +4,22 @@ from __future__ import annotations
 
 import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service import AdvisorService, serve_loop
+from repro.workload.generator import GeneratorConfig, generate_workload
+
+
+def _strict(constant: str):
+    raise ValueError(f"{constant} is not JSON")
 
 
 def run_protocol(service, messages):
+    """Serve ``messages``; every output line must be strict JSON."""
     lines = "\n".join(
         message if isinstance(message, str) else json.dumps(message)
         for message in messages
@@ -18,7 +27,7 @@ def run_protocol(service, messages):
     output = io.StringIO()
     handled = serve_loop(service, io.StringIO(lines + "\n"), output)
     responses = [
-        json.loads(line)
+        json.loads(line, parse_constant=_strict)
         for line in output.getvalue().splitlines()
         if line
     ]
@@ -224,6 +233,59 @@ class TestErrors:
         assert stats["gauges"]["service.admitted"] == 0
         assert stats["gauges"].get("whatif.calls", 0) == 0
 
+    def test_unhashable_request_ids_do_not_wedge_admission(
+        self, tiny_workload
+    ):
+        # Ten are as many as the default 2 + 8 admission slots: a
+        # request refused at admission must not stay counted in flight.
+        service = AdvisorService(tiny_workload.schema)
+        service.register_workload("base", tiny_workload)
+        hostile = [
+            {"id": position, "op": "recommend", "workload": "base",
+             "budget_share": 0.5, "request_id": {"a": position}}
+            for position in range(10)
+        ]
+        _, responses = run_protocol(
+            service,
+            [
+                *hostile,
+                {"id": "ok", "op": "recommend", "workload": "base",
+                 "budget_share": 0.5},
+                {"id": "health", "op": "health"},
+            ],
+        )
+        *rejected, recommend, health = responses
+        assert len(rejected) == 10
+        for response in rejected:
+            assert response["code"] == "invalid_request"
+            assert "request_id" in response["message"]
+        assert recommend["ok"] and recommend["status"] == "completed"
+        assert health["in_flight"] == 0
+        assert health["completed"] == 1
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            '"budget_share": NaN',
+            '"budget_share": Infinity',
+            '"budget_share": 1e400',
+            '"budget_bytes": 1e400',
+            '"budget_bytes": -Infinity',
+            '"budget_share": 0.5, "deadline_s": NaN',
+            '"budget_share": 0.5, "deadline_s": 1e400',
+        ],
+    )
+    def test_non_finite_numbers_are_invalid_budgets(self, service, fields):
+        line = (
+            '{"id": 1, "op": "recommend", "workload": "base", '
+            + fields + "}"
+        )
+        _, responses = run_protocol(service, [line, {"op": "health"}])
+        rejected, health = responses
+        assert rejected["ok"] is False
+        assert rejected["code"] == "invalid_budget"
+        assert health["in_flight"] == 0
+
     def test_stale_cost_kernel_field_is_ignored(self, service):
         """The kernel switch is gone; a client that still sends it gets
         the kernel's answer, like any unknown field."""
@@ -250,6 +312,39 @@ class TestErrors:
         assert deep["code"] == "parse_error"
         assert stats["ok"] and stats["id"] == 2
 
+    def test_overflowing_salvaged_id_is_not_echoed(self, service):
+        # The salvaged decimal parses to infinity, which is no JSON.
+        line = '{"id": 1' + "0" * 400 + '.5, "op":'
+        _, responses = run_protocol(service, [line, {"id": 2, "op": "stats"}])
+        broken, stats = responses
+        assert "id" not in broken
+        assert broken["code"] == "parse_error"
+        assert stats["ok"] and stats["id"] == 2
+
+    @pytest.mark.parametrize(
+        "line, echoed",
+        [
+            ('{"id": 1, "op": "stats", "budget_bytes": ' + "9" * 5000 + "}",
+             1),
+            ('{"id": ' + "9" * 5000 + ', "op": "stats"}', None),
+            ('{"id": ' + "9" * 5000 + ', "op":', None),
+        ],
+        ids=["field", "id", "salvaged-id"],
+    )
+    def test_integer_past_the_digit_limit_is_a_parse_error(
+        self, service, line, echoed
+    ):
+        # json.loads raises a plain ValueError on an integer literal
+        # longer than the interpreter's int-to-string digit limit.
+        handled, responses = run_protocol(
+            service, [line, {"id": 2, "op": "stats"}]
+        )
+        assert handled == 2
+        broken, stats = responses
+        assert broken.get("id") == echoed
+        assert broken["code"] == "parse_error"
+        assert stats["ok"] and stats["id"] == 2
+
     def test_non_object_line_is_an_error(self, service):
         _, responses = run_protocol(
             service, ["[1,2,3]", {"op": "shutdown"}]
@@ -272,3 +367,175 @@ class TestErrors:
                 RecommendRequest(workload="base", budget_share=0.5)
             )
 
+
+# ----------------------------------------------------------------------
+# Hostile input: a property over arbitrary lines
+# ----------------------------------------------------------------------
+
+_CODES = frozenset({
+    "parse_error",
+    "invalid_request",
+    "unknown_op",
+    "unknown_workload",
+    "overloaded",
+    "draining",
+    "watchdog_timeout",
+    "snapshot_error",
+    "invalid_budget",
+    "deadline_exceeded",
+})
+"""The documented error codes, less ``internal_error`` (a bug)."""
+
+_SQL = "SELECT * FROM T01 WHERE C002 = ? AND C003 = ?"
+_VALID = {
+    "recommend": {"workload": "w", "budget_share": 0.3},
+    "sweep": {"workload": "w", "budget_sweep": "0.1:0.3:3"},
+    "register": {"workload": "v", "queries": [_SQL]},
+    "update": {"workload": "w", "queries": [_SQL, [_SQL, 2.0]]},
+    "evict": {"workload": "v"},
+    "stats": {},
+    "health": {},
+    "ready": {},
+    "snapshot": {},
+}
+"""A well-formed message per op, for the fuzzer to spoil."""
+_FIELDS = (
+    "workload", "budget_share", "budget_bytes", "algorithm",
+    "deadline_s", "candidate_width", "request_id", "stream",
+    "budget_shares", "budget_sweep", "queries", "cost_kernel", "id",
+)
+_LITERALS = {
+    "__huge__": "1e400",
+    "__long__": "1" + "0" * 400 + ".5",
+    "__digits__": "9" * 5000,
+}
+"""Placeholders for number literals ``json.dumps`` cannot write: two
+that parse to infinity and an integer past the interpreter's
+int-to-string digit limit."""
+
+
+def _scalars():
+    return st.one_of(
+        st.sampled_from([math.nan, math.inf, -math.inf, *_LITERALS]),
+        st.text(max_size=12),
+        st.sampled_from(["w", "extend", "extend+swap", "h1", _SQL,
+                         "0.1:0.3:3", "vectorized", "scalar"]),
+        st.integers(),
+        st.sampled_from([0, 1, 4, 10**400, -(10**400)]),
+        st.floats(),
+        st.sampled_from([0.05, 0.3, 1.0, 1e300]),
+        st.booleans(),
+        st.none(),
+    )
+
+
+_VALUES = st.one_of(
+    st.recursive(
+        _scalars(),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=3),
+            st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        ),
+        max_leaves=6,
+    ),
+    # Template lists whose frequencies are hostile.
+    st.lists(
+        st.tuples(st.just(_SQL), _scalars()).map(list),
+        min_size=1,
+        max_size=2,
+    ),
+)
+
+
+@st.composite
+def _message(draw, identifier: int) -> str:
+    op = draw(st.one_of(
+        st.sampled_from(["recommend", "sweep", *_VALID]),
+        st.text(max_size=8).filter(lambda text: text != "shutdown"),
+    ))
+    identifier = draw(
+        st.one_of(st.just(identifier), st.sampled_from(list(_LITERALS)))
+    )
+    message = {"id": identifier, "op": op, **_VALID.get(op, {})}
+    for name in draw(st.lists(st.sampled_from(_FIELDS), max_size=3)):
+        message[name] = draw(_VALUES)
+    line = json.dumps(message)
+    for placeholder, literal in _LITERALS.items():
+        line = line.replace(f'"{placeholder}"', literal)
+    return line
+
+
+@st.composite
+def _lines(draw) -> list[str]:
+    count = draw(st.integers(min_value=1, max_value=12))
+    lines = []
+    for position in range(count):
+        kind = draw(st.sampled_from(["message", "truncated", "text"]))
+        if kind == "message":
+            lines.append(draw(_message(position)))
+        elif kind == "truncated":
+            # Malformed, but its leading "id" is salvaged textually.
+            line = draw(_message(position))
+            lines.append(line[: draw(st.integers(1, len(line) - 1))])
+        else:
+            lines.append(draw(
+                st.text(
+                    st.characters(
+                        blacklist_categories=("Cs",),
+                        blacklist_characters="\r\n",
+                    ),
+                    max_size=30,
+                )
+            ))
+    return lines
+
+
+def _streams(line: str) -> bool:
+    """Whether the protocol reads ``line`` as a ``stream: true``
+    request."""
+    try:
+        message = json.loads(line)
+    except (ValueError, RecursionError):
+        return False
+    return isinstance(message, dict) and bool(message.get("stream"))
+
+
+class TestHostileInput:
+    @given(lines=_lines())
+    @settings(max_examples=300, deadline=None)
+    def test_every_line_gets_one_strict_json_answer(self, lines):
+        workload = generate_workload(GeneratorConfig(
+            tables=2, attributes_per_table=6, queries_per_table=4, seed=7,
+        ))
+        service = AdvisorService(
+            workload.schema,
+            watchdog_interval_s=0,
+            default_deadline_s=30.0,
+        )
+        service.register_workload("w", workload)
+        requests = [line for line in lines if line.strip()]
+        text = "\n".join([*lines, '{"id": "last", "op": "health"}'])
+        output = io.StringIO()
+        serve_loop(service, io.StringIO(text + "\n"), output)
+        records = [
+            json.loads(line, parse_constant=_strict)
+            for line in output.getvalue().split("\n")
+            if line
+        ]
+        *answers, health = [
+            record for record in records if record.get("op") != "event"
+        ]
+        assert len(answers) == len(requests)
+        assert health["ok"] and health["in_flight"] == 0
+        for answer in answers:
+            assert answer["ok"] or answer["code"] in _CODES, answer
+        # Lines run one after another, so a line's events come right
+        # before its answer.
+        streams = iter(_streams(line) for line in requests)
+        events = 0
+        for record in records[:-1]:
+            if record.get("op") == "event":
+                events += 1
+                continue
+            assert next(streams) or events == 0, record
+            events = 0

@@ -74,6 +74,29 @@ class TestScopedInvalidation:
             optimizer.sequential_cost(query)  # still cached
         assert optimizer.calls == before
 
+    def test_update_and_evict_drop_stale_answers(
+        self, registry, tiny_workload
+    ):
+        # The resilient layer keeps every successful backend answer as
+        # a stale fallback; those of dropped queries must go with the
+        # facade's entries, or they outlive every registration.
+        table, stack = registry
+        queries = list(tiny_workload)
+        table.register("a", Workload(tiny_workload.schema, queries[:4]))
+        table.register("b", Workload(tiny_workload.schema, queries[4:]))
+        for query in queries:
+            stack.optimizer.sequential_cost(query)
+        assert stack.resilient.stale_cache_size == len(queries)
+        _, invalidated = table.update(
+            "a", Workload(tiny_workload.schema, queries[:3])
+        )
+        assert invalidated == 1
+        assert stack.resilient.stale_cache_size == len(queries) - 1
+        assert table.evict("b") == len(queries) - 4
+        assert stack.resilient.stale_cache_size == 3
+        assert table.evict("a") == 3
+        assert stack.resilient.stale_cache_size == 0
+
     def test_evict_clears_the_whole_workload(
         self, registry, tiny_workload
     ):

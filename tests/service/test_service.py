@@ -410,6 +410,40 @@ class TestDeadlines:
 
 
 class TestAdmissionControl:
+    def test_request_id_in_flight_is_refused(self, small_workload):
+        """A second request under the id of one still in flight would
+        overwrite its record: the watchdog and drain would lose it."""
+        gate = threading.Event()
+        source = _GateSource(small_workload.schema, gate)
+        service = AdvisorService(
+            small_workload.schema,
+            max_concurrency=1,
+            queue_depth=2,
+            cost_source=source,
+            watchdog_interval_s=0,
+        )
+        try:
+            service.register_workload("w", small_workload)
+            request = RecommendRequest(
+                workload="w", budget_share=0.2, request_id="mine"
+            )
+            blocked = service.submit(request)
+            with pytest.raises(ServiceError, match="already in flight"):
+                service.submit(request)
+            statistics = service.statistics
+            assert statistics.admitted == 1
+            assert statistics.in_flight == 1
+            assert service.subscribe("mine") is blocked.stream
+            gate.set()
+            assert blocked.result(timeout_s=_JOIN_S).status == "completed"
+            # Once resolved, the id is free again.
+            again = service.recommend(request)
+            assert again.request_id == "mine"
+        finally:
+            gate.set()
+            service.close()
+        assert service.statistics.in_flight == 0
+
     def test_overload_raises_deterministically(self, small_workload):
         gate = threading.Event()
         source = _GateSource(small_workload.schema, gate)

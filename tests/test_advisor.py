@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import math
+
 import pytest
 
 from repro.advisor import IndexAdvisor
@@ -10,6 +13,8 @@ from repro.exceptions import (
     ExperimentError,
     IndexDefinitionError,
 )
+from repro.telemetry import InMemorySink, Telemetry
+from repro.workload.generator import GeneratorConfig, generate_workload
 from repro.workload.query import Query
 
 
@@ -67,6 +72,48 @@ class TestBudgets:
     def test_rejects_negative_bytes(self, advisor):
         with pytest.raises(BudgetError, match="budget_bytes"):
             advisor.recommend(_SQL, budget_bytes=-1)
+
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            {"budget_share": math.nan},
+            {"budget_share": math.inf},
+            {"budget_share": 10**400},
+            {"budget_bytes": math.nan},
+            {"budget_bytes": math.inf},
+            {"budget_bytes": 10**400},
+        ],
+    )
+    def test_rejects_non_finite_budgets(self, budget):
+        # A NaN share must not run: Extend would select nothing and
+        # swap would read "needed <= NaN" as fitting.
+        workload = generate_workload(GeneratorConfig(tables=2, seed=7))
+        with pytest.raises(BudgetError, match="finite"):
+            IndexAdvisor(workload.schema).recommend(workload, **budget)
+
+
+class TestSwapEvents:
+    def test_swap_that_frees_memory_has_no_ratio(self):
+        """Benefit per added byte is undefined for a swap that frees
+        memory: its event says ``None``, not an infinity that no strict
+        JSON reader accepts."""
+        workload = generate_workload(
+            GeneratorConfig(tables=2, queries_per_table=8, seed=1)
+        )
+        sink = InMemorySink()
+        IndexAdvisor(
+            workload.schema, telemetry=Telemetry(sinks=(sink,))
+        ).recommend(workload, budget_share=0.1)
+        swaps = [
+            record
+            for record in sink.records
+            if record.get("type") == "step" and record["action"] == "swap"
+        ]
+        freeing = [r for r in swaps if r["memory_delta"] <= 0]
+        assert freeing
+        assert all(record["ratio"] is None for record in freeing)
+        for record in swaps:
+            json.dumps(record, allow_nan=False)
 
 
 class TestCostStack:

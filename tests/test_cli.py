@@ -337,6 +337,20 @@ class TestErrorHandling:
         assert "\n" == captured.err[-1]
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("budget", ["nan", "inf"])
+    def test_non_finite_budget_exits_2(self, capsys, budget):
+        exit_code = main(
+            [
+                "advise",
+                "--tables", "2",
+                "--attributes", "5",
+                "--queries", "5",
+                "--budget", budget,
+            ]
+        )
+        assert exit_code == 2
+        assert "finite budget" in capsys.readouterr().err
+
     def test_non_repro_errors_propagate(self, monkeypatch):
         import repro.cli as cli_module
 
