@@ -526,21 +526,6 @@ class _ConstructionState:
         """Finalize the engine (fold never-priced moves into stats)."""
         self._table.close()
 
-    def _maintenance_delta(
-        self, new_index: Index, old_index: Index | None = None
-    ) -> float:
-        """Frequency-weighted maintenance added by a move (only writes
-        to the index's table maintain it)."""
-        total = 0.0
-        for query in self._writes.on(new_index.table_name):
-            delta = self._optimizer.maintenance_cost(query, new_index)
-            if old_index is not None:
-                delta -= self._optimizer.maintenance_cost(
-                    query, old_index
-                )
-            total += query.frequency * delta
-        return total
-
     # ------------------------------------------------------------------
     # Move pools
     # ------------------------------------------------------------------
@@ -629,7 +614,7 @@ class _ConstructionState:
             positions,
             self._weights[positions],
             self._reconfiguration.creation_cost(self._schema, index),
-            self._maintenance_delta(index),
+            self._writes.delta(self._optimizer, index),
             pricer=self._pricer(index, positions),
         )
 
@@ -648,7 +633,7 @@ class _ConstructionState:
             positions,
             self._weights[positions],
             self._reconfiguration.creation_cost(self._schema, index),
-            self._maintenance_delta(index),
+            self._writes.delta(self._optimizer, index),
             pricer=self._pricer(index, positions),
         )
 
@@ -730,7 +715,7 @@ class _ConstructionState:
             positions,
             self._weights[positions],
             reconfiguration_delta,
-            self._maintenance_delta(extended, index),
+            self._writes.delta(self._optimizer, extended, index),
             pricer=self._pricer(extended, positions),
         )
 
@@ -917,7 +902,9 @@ class _ConstructionState:
             self._selected.discard(index)
             del self._positions[index]
             self.memory -= index_memory(self._schema, index)
-            self._maintenance_total -= self._maintenance_delta(index)
+            self._maintenance_total -= self._writes.delta(
+                self._optimizer, index
+            )
             self._retire_extension_moves(index)
             steps.append(
                 ConstructionStep(

@@ -165,10 +165,11 @@ class VectorizedCostSource:
     query — batched or not, whole-workload or subset, the same object
     or a content-equal one — is deterministic down to the bit.
 
-    Maintenance and context-based multi-index costs delegate to the
-    scalar :class:`~repro.cost.model.CostModel` (they are cheap, cached
-    by the facade, and the greedy multi-index loop does not vectorize),
-    keeping those paths bit-identical to the scalar backend.
+    Context-based multi-index costs delegate to the scalar
+    :class:`~repro.cost.model.CostModel` (they are cheap, cached by the
+    facade, and the greedy multi-index loop does not vectorize), keeping
+    that path bit-identical to the scalar backend.  Write maintenance
+    is not a kernel answer: the facade prices it from :attr:`schema`.
     """
 
     def __init__(self, schema: Schema) -> None:
@@ -216,10 +217,6 @@ class VectorizedCostSource:
         pack, row = self._placements((query,))[0]
         rows = np.array([row], dtype=np.intp)
         return float(self._pair_costs_on(pack, rows, [index])[0])
-
-    def maintenance_cost(self, query: Query, index: Index) -> float:
-        """Per-execution maintenance (scalar model, bit-identical)."""
-        return self._model.maintenance_cost(query, index)
 
     def multi_index_cost(
         self, query: Query, indexes: Iterable[Index]

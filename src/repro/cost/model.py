@@ -157,20 +157,20 @@ class CostModel:
     def maintenance_cost(self, query: Query, index: Index) -> float:
         """Per-execution cost of keeping ``index`` consistent.
 
-        UPDATEs pay for every index that contains a written attribute:
-        locate the entry (binary search), rewrite the value columns, and
-        touch the position list.  INSERTs pay the same for *every* index
-        of the table.  SELECTs pay nothing.
+        UPDATEs pay for every index that contains a written attribute
+        and INSERTs for *every* index of the table
+        (:meth:`Index.is_maintained_by`), each the same
+        :meth:`index_maintenance`.  SELECTs pay nothing.
         """
-        if query.kind is QueryKind.SELECT:
+        if not index.is_maintained_by(query):
             return 0.0
-        if index.table_name != query.table_name:
-            return 0.0
-        if query.kind is QueryKind.UPDATE and not (
-            index.attribute_set & query.attributes
-        ):
-            return 0.0
-        row_count = self._schema.table(query.table_name).row_count
+        return self.index_maintenance(index)
+
+    def index_maintenance(self, index: Index) -> float:
+        """``m_k``: what one maintaining write pays for ``index`` — locate
+        the entry (binary search), rewrite the value columns, and touch
+        the position list."""
+        row_count = self._schema.table(index.table_name).row_count
         locate = math.log2(row_count) if row_count > 1 else 1.0
         rewrite = float(
             sum(

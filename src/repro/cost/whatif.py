@@ -34,6 +34,7 @@ from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
+from repro.cost.model import CostModel
 from repro.indexes.configuration import IndexConfiguration
 from repro.indexes.index import Index
 from repro.workload.query import Query, Workload
@@ -53,11 +54,9 @@ class CostSource(Protocol):
     """Backend that prices a query under a single index (or none).
 
     Implementations must be deterministic: the facade caches results.
-    Backends may additionally expose ``maintenance_cost(query, index)``
-    for write queries; the facade treats a missing method as
-    zero-maintenance (read-only backends).  Maintenance must be zero
-    for a write on another table than the index's (:class:`WriteLoad`
-    sums only the index's own table).
+    A backend that knows its schema exposes it as ``schema``; the
+    facade prices write maintenance from it (a backend without one,
+    such as the measured engine, charges none).
     """
 
     def query_cost(self, query: Query, index: Index | None) -> float:
@@ -80,14 +79,15 @@ class AnalyticalCostSource:
     def __init__(self, cost_model) -> None:
         self._cost_model = cost_model
 
+    @property
+    def schema(self):
+        """The schema of the model."""
+        return self._cost_model.schema
+
     def query_cost(self, query: Query, index: Index | None) -> float:
         if index is None:
             return self._cost_model.sequential_cost(query)
         return self._cost_model.index_cost(query, index)
-
-    def maintenance_cost(self, query: Query, index: Index) -> float:
-        """Per-execution index maintenance of a write query."""
-        return self._cost_model.maintenance_cost(query, index)
 
     def multi_index_cost(
         self, query: Query, indexes: tuple[Index, ...]
@@ -180,9 +180,7 @@ class WhatIfOptimizer:
         distinct queries holds at most ``max_entries`` cost entries:
         hits refresh recency, inserts past capacity evict the least
         recently used entry and count it in ``statistics.evictions``
-        (the ``whatif.evictions`` gauge).  The maintenance cache stays
-        unbounded — it only holds write-query × index entries, which
-        are few and statistics-derived.
+        (the ``whatif.evictions`` gauge).
     """
 
     def __init__(
@@ -209,7 +207,8 @@ class WhatIfOptimizer:
         self._cache: dict[tuple, float] = (
             OrderedDict() if max_entries is not None else {}
         )
-        self._maintenance_cache: dict[tuple, float] = {}
+        schema = getattr(cost_source, "schema", None)
+        self._model = None if schema is None else CostModel(schema)
         self._statistics = WhatIfStatistics()
         # Guards cache/statistics mutation so the facade can be shared
         # by concurrent requests (the service's worker threads).
@@ -285,8 +284,8 @@ class WhatIfOptimizer:
         capture ``statistics.copy()`` before clearing.
 
         With ``queries``, only entries belonging to those queries (by
-        content key — cost, maintenance, and multi-index entries alike)
-        are dropped and the counters are left untouched: a multi-tenant
+        content key — single- and multi-index entries alike) are
+        dropped and the counters are left untouched: a multi-tenant
         facade shared across workload registrations must be able to
         invalidate one workload's entries on update without wiping the
         statistics — or the cached answers — of unrelated concurrent
@@ -298,9 +297,8 @@ class WhatIfOptimizer:
         """
         if queries is None:
             with self._lock:
-                removed = len(self._cache) + len(self._maintenance_cache)
+                removed = len(self._cache)
                 self._cache.clear()
-                self._maintenance_cache.clear()
                 self._statistics.reset()
             return removed
         scope = {query.cache_key for query in queries}
@@ -308,9 +306,8 @@ class WhatIfOptimizer:
             return 0
         with self._lock:
             # All cache keys lead with the query content key, so one
-            # membership filter covers cost, maintenance, and
-            # multi-index entries uniformly.
-            before = len(self._cache) + len(self._maintenance_cache)
+            # membership filter covers single- and multi-index entries.
+            before = len(self._cache)
             survivors = {
                 key: value
                 for key, value in self._cache.items()
@@ -323,17 +320,11 @@ class WhatIfOptimizer:
                 if self._max_entries is not None
                 else survivors
             )
-            self._maintenance_cache = {
-                key: value
-                for key, value in self._maintenance_cache.items()
-                if key[0] not in scope
-            }
-            return before - (
-                len(self._cache) + len(self._maintenance_cache)
-            )
+            return before - len(self._cache)
 
     def export_cache(self, queries: Iterable[Query]) -> dict:
-        """JSON-safe snapshot of the cache entries owned by ``queries``.
+        """JSON-safe snapshot of the cache entries owned by ``queries``,
+        as ``{"cost": rows}``.
 
         Entries are keyed by the *position* of the owning query within
         ``queries`` (not by its content key, which contains frozensets
@@ -348,26 +339,16 @@ class WhatIfOptimizer:
         positions: dict[tuple, int] = {}
         for position, query in enumerate(queries):
             positions.setdefault(query.cache_key, position)
-
-        def rows(cache: dict[tuple, float]) -> list:
-            selected = []
-            for (content_key, tail), value in cache.items():
-                position = positions.get(content_key)
-                if position is None:
-                    continue
-                selected.append(
-                    [position, _encode_index_key(tail), float(value)]
-                )
-            selected.sort(
-                key=lambda row: (row[0], repr(row[1]))
-            )
-            return selected
-
+        rows = []
         with self._lock:
-            return {
-                "cost": rows(self._cache),
-                "maintenance": rows(self._maintenance_cache),
-            }
+            for (content_key, tail), value in self._cache.items():
+                position = positions.get(content_key)
+                if position is not None:
+                    rows.append(
+                        [position, _encode_index_key(tail), float(value)]
+                    )
+        rows.sort(key=lambda row: (row[0], repr(row[1])))
+        return {"cost": rows}
 
     def import_cache(
         self, queries: Sequence[Query], entries: dict
@@ -378,15 +359,15 @@ class WhatIfOptimizer:
         was scoped to.  Existing entries win over imported ones
         (``setdefault``), counters are untouched, and malformed rows
         are skipped rather than raised — imports come from snapshots,
-        which are allowed to be wrong but never fatal.  Returns the
-        number of entries installed.
+        which are allowed to be wrong but never fatal.  Sections other
+        than ``"cost"`` (older snapshots carried ``"maintenance"``) are
+        ignored.  Returns the number of entries installed.
         """
         queries = tuple(queries)
         installed = 0
-
-        def load(cache: dict[tuple, float], rows) -> int:
-            count = 0
-            for row in rows:
+        with self._lock:
+            cache = self._cache
+            for row in entries.get("cost", ()):
                 try:
                     position, tail, value = row
                     position = int(position)
@@ -399,14 +380,7 @@ class WhatIfOptimizer:
                     continue
                 if key not in cache:
                     cache[key] = cost
-                    count += 1
-            return count
-
-        with self._lock:
-            installed += load(self._cache, entries.get("cost", ()))
-            installed += load(
-                self._maintenance_cache, entries.get("maintenance", ())
-            )
+                    installed += 1
             if self._max_entries is not None:
                 while len(self._cache) > self._max_entries:
                     self._cache.popitem(last=False)  # type: ignore[call-arg]
@@ -530,23 +504,23 @@ class WhatIfOptimizer:
         return np.array(results, dtype=np.float64)
 
     def maintenance_cost(self, query: Query, index: Index) -> float:
-        """Per-execution maintenance of ``index`` for a write query.
+        """Per-execution maintenance of ``index`` for ``query``:
+        :meth:`index_maintenance` when the query maintains the index
+        (:meth:`Index.is_maintained_by`), else ``0.0``.
 
-        Zero for SELECTs and for backends without a maintenance model.
         Maintenance is derived from statistics, not from the what-if
-        optimizer, so it is cached but never counted as a backend call.
+        optimizer, so it is neither cached nor counted as a call.
         """
-        if query.is_select:
+        if not index.is_maintained_by(query):
             return 0.0
-        key = (query.cache_key, index.attributes)
-        with self._lock:
-            cached = self._maintenance_cache.get(key)
-        if cached is not None:
-            return cached
-        backend = getattr(self._source, "maintenance_cost", None)
-        cost = 0.0 if backend is None else backend(query, index)
-        with self._lock:
-            return self._maintenance_cache.setdefault(key, cost)
+        return self.index_maintenance(index)
+
+    def index_maintenance(self, index: Index) -> float:
+        """``m_k`` of the source's schema model, the same for every write
+        that maintains ``index``; ``0.0`` when the source has no
+        ``schema`` (a read-only backend such as the measured engine)."""
+        model = self._model
+        return 0.0 if model is None else model.index_maintenance(index)
 
     def configuration_cost(
         self, query: Query, configuration: IndexConfiguration | Iterable[Index]
@@ -827,11 +801,40 @@ class WriteLoad:
 
     def load(self, optimizer: WhatIfOptimizer, index: Index) -> float:
         """``Σ b_q · m_q(index)`` over the writes to ``index``'s table,
-        summed in query order."""
+        summed in query order: ``m_q`` is the index's one ``m_k`` for a
+        write that maintains it, else ``0.0`` (skipped, an exact
+        ``+ 0.0``)."""
+        writes = self.on(index.table_name)
+        if not writes:
+            return 0.0
+        maintenance = optimizer.index_maintenance(index)
         return sum(
             (
-                query.frequency * optimizer.maintenance_cost(query, index)
-                for query in self.on(index.table_name)
+                query.frequency * maintenance
+                for query in writes
+                if index.is_maintained_by(query)
             ),
             0.0,
         )
+
+    def delta(
+        self,
+        optimizer: WhatIfOptimizer,
+        new: Index,
+        old: Index | None = None,
+    ) -> float:
+        """``Σ b_q · (m_q(new) − m_q(old))`` over the writes to ``new``'s
+        table, summed per query in query order: the maintenance a move
+        building ``new`` in place of ``old`` (same table) adds."""
+        writes = self.on(new.table_name)
+        if not writes:
+            return 0.0
+        new_load = optimizer.index_maintenance(new)
+        old_load = 0.0 if old is None else optimizer.index_maintenance(old)
+        total = 0.0
+        for query in writes:
+            delta = new_load if new.is_maintained_by(query) else 0.0
+            if old is not None and old.is_maintained_by(query):
+                delta -= old_load
+            total += query.frequency * delta
+        return total

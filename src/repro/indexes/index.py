@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.exceptions import IndexDefinitionError
-from repro.workload.query import Query
+from repro.workload.query import Query, QueryKind
 from repro.workload.schema import Schema
 
 __all__ = ["Index", "canonical_index", "canonical_order_key"]
@@ -123,6 +123,18 @@ class Index:
         return (
             self.table_name == query.table_name
             and self.leading_attribute in query.attributes
+        )
+
+    def is_maintained_by(self, query: Query) -> bool:
+        """Whether the query must keep the index consistent: an INSERT
+        into the index's table, or an UPDATE of it that writes one of
+        the index's attributes."""
+        return self.table_name == query.table_name and (
+            query.kind is QueryKind.INSERT
+            or (
+                query.kind is QueryKind.UPDATE
+                and not query.attributes.isdisjoint(self.attributes)
+            )
         )
 
     def usable_prefix(self, query: Query) -> tuple[int, ...]:

@@ -143,7 +143,7 @@ class FaultInjectingCostSource:
         # feature detection in WhatIfOptimizer).  The batch method is
         # mirrored too, so vectorized pricing still flows through the
         # injector instead of silently bypassing it.
-        for method in ("maintenance_cost", "multi_index_cost", "pair_costs"):
+        for method in ("multi_index_cost", "pair_costs"):
             if getattr(source, method, None) is None:
                 setattr(self, method, None)
 
@@ -156,11 +156,6 @@ class FaultInjectingCostSource:
         """Answer ``f_j(k)``, unless the fault plan says otherwise."""
         self._inject("query_cost")
         return self._source.query_cost(query, index)
-
-    def maintenance_cost(self, query, index) -> float:
-        """Maintenance cost with fault injection applied."""
-        self._inject("maintenance_cost")
-        return self._source.maintenance_cost(query, index)
 
     def multi_index_cost(self, query, indexes) -> float:
         """Multi-index cost with fault injection applied."""

@@ -48,7 +48,7 @@ from repro.resilience.policy import (
 
 __all__ = ["ResilientCostSource"]
 
-_OPTIONAL_METHODS = ("maintenance_cost", "multi_index_cost")
+_OPTIONAL_METHODS = ("multi_index_cost",)
 
 
 class ResilientCostSource:
@@ -106,9 +106,9 @@ class ResilientCostSource:
         )
         # Only advertise optional protocol methods some source in the
         # chain actually implements: WhatIfOptimizer feature-detects
-        # maintenance_cost/multi_index_cost with getattr, and a wrapper
-        # that always defines them would claim capabilities the backend
-        # lacks.  Instance attributes shadow the class lookup.
+        # multi_index_cost with getattr, and a wrapper that always
+        # defines it would claim a capability the backend lacks.
+        # Instance attributes shadow the class lookup.
         for method in _OPTIONAL_METHODS:
             if not self._chain_supports(method):
                 setattr(self, method, None)
@@ -127,6 +127,16 @@ class ResilientCostSource:
     def source(self):
         """The wrapped primary backend."""
         return self._source
+
+    @property
+    def schema(self):
+        """The ``schema`` of the first source in the chain that has one
+        (``None`` if none does): the facade prices maintenance from it."""
+        schemas = (
+            getattr(source, "schema", None)
+            for source in (self._source, *self._fallbacks)
+        )
+        return next((schema for schema in schemas if schema is not None), None)
 
     @property
     def policy(self) -> ResiliencePolicy:
@@ -179,11 +189,6 @@ class ResilientCostSource:
         """``f_j(k)`` with retries, breaker, and fallbacks applied."""
         key = ("query_cost", query.cache_key, index)
         return self._call("query_cost", key, query, index)
-
-    def maintenance_cost(self, query, index) -> float:
-        """Per-execution maintenance, resiliently priced."""
-        key = ("maintenance_cost", query.cache_key, index)
-        return self._call("maintenance_cost", key, query, index)
 
     def multi_index_cost(self, query, indexes) -> float:
         """Context-based multi-index cost, resiliently priced."""
@@ -255,7 +260,7 @@ class ResilientCostSource:
         :class:`CostSourceUnavailableError` when the breaker is open.
         Returns ``None`` — touching no retry or breaker state — when the
         primary cannot price ``method`` at all (e.g. an engine without
-        a maintenance model).
+        a multi-index model).
         """
         statistics = self._statistics
         primary = getattr(self._source, method, None)

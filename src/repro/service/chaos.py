@@ -184,10 +184,6 @@ class _ExplodingSource:
         self._chaos()
         return self._inner.query_cost(query, index)
 
-    def maintenance_cost(self, query, index):
-        self._chaos()
-        return self._inner.maintenance_cost(query, index)
-
     def multi_index_cost(self, query, indexes):
         self._chaos()
         return self._inner.multi_index_cost(query, indexes)

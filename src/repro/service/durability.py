@@ -75,7 +75,7 @@ class RestoreReport:
     sequence: int = 0
     workloads: int = 0
     whatif_entries: int = 0
-    """What-if cache entries (costs and maintenance) installed."""
+    """What-if cost-cache entries installed."""
 
     @property
     def corrupt(self) -> bool:
@@ -283,7 +283,7 @@ def restore_registry(
                 served=int(entry["served"]),
             )
             cached = entry["whatif"]
-            if cached["cost"] or cached["maintenance"]:
+            if cached["cost"]:
                 restored_entries += stack.optimizer.import_cache(
                     queries, cached
                 )

@@ -147,8 +147,7 @@ class TestProtocolMirroring:
     def test_mirrors_optional_methods(self, analytical, a_query,
                                       tiny_workload):
         source = FaultInjectingCostSource(analytical)
-        # The analytic backend supports both optional methods.
-        assert callable(getattr(source, "maintenance_cost", None))
+        # The analytic backend supports the optional method.
         assert callable(getattr(source, "multi_index_cost", None))
 
     def test_hides_unsupported_methods(self, a_query):
@@ -157,7 +156,6 @@ class TestProtocolMirroring:
                 return 1.0
 
         source = FaultInjectingCostSource(Minimal())
-        assert getattr(source, "maintenance_cost", None) is None
         assert getattr(source, "multi_index_cost", None) is None
         assert source.query_cost(a_query, None) == 1.0
 

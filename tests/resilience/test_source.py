@@ -63,8 +63,18 @@ class TestHappyPath:
 
     def test_advertises_optional_methods_of_the_chain(self, analytical):
         resilient = ResilientCostSource(analytical)
-        assert callable(getattr(resilient, "maintenance_cost", None))
         assert callable(getattr(resilient, "multi_index_cost", None))
+
+    def test_schema_is_the_first_in_the_chain(self, tiny_workload):
+        """Only the fallback kernel knows the schema, so the facade
+        prices maintenance from the kernel's."""
+        kernel = VectorizedCostSource(tiny_workload.schema)
+        flaky = FaultInjectingCostSource(
+            AnalyticalCostSource(CostModel(tiny_workload.schema))
+        )
+        resilient = ResilientCostSource(flaky, fallbacks=(kernel,))
+        assert getattr(flaky, "schema", None) is None
+        assert resilient.schema is kernel.schema
 
     def test_hides_methods_nobody_supports(self, a_query):
         class Minimal:
@@ -72,10 +82,10 @@ class TestHappyPath:
                 return 2.0
 
         resilient = ResilientCostSource(Minimal(), policy=NO_SLEEP)
-        assert getattr(resilient, "maintenance_cost", None) is None
         assert getattr(resilient, "multi_index_cost", None) is None
-        # WhatIfOptimizer's feature detection then treats maintenance
-        # as zero instead of calling a phantom method.
+        # Nor does it know a schema, so the facade charges no
+        # maintenance instead of calling a phantom model.
+        assert resilient.schema is None
         optimizer = WhatIfOptimizer(resilient)
         assert optimizer.sequential_cost(a_query) == 2.0
 

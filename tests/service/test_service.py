@@ -78,10 +78,6 @@ class _GateSource:
         self._gate.wait()
         return self._inner.query_cost(query, index)
 
-    def maintenance_cost(self, query, index):
-        self._gate.wait()
-        return self._inner.maintenance_cost(query, index)
-
     def multi_index_cost(self, query, indexes):
         self._gate.wait()
         return self._inner.multi_index_cost(query, indexes)
@@ -611,9 +607,6 @@ class TestObservability:
     def test_failed_request_counted_and_raised(self, small_workload):
         class _BoomSource:
             def query_cost(self, query, index):
-                raise ValueError("boom")
-
-            def maintenance_cost(self, query, index):
                 raise ValueError("boom")
 
             def multi_index_cost(self, query, indexes):
