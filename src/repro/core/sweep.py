@@ -42,6 +42,7 @@ from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.workload.query import Workload
 
 __all__ = [
+    "MAX_SWEEP_POINTS",
     "SweepPoint",
     "SweepResult",
     "SweepStatistics",
@@ -50,6 +51,10 @@ __all__ = [
     "parse_budget_sweep",
     "sweep_select",
 ]
+
+MAX_SWEEP_POINTS = 1_000
+"""The most budget points one sweep request may ask for: each point is
+one Extend run, so an unbounded count is unbounded work and memory."""
 
 
 def normalize_budget_shares(
@@ -60,8 +65,9 @@ def normalize_budget_shares(
     Strict by design — these are *request inputs* (CLI ``--budget-sweep``,
     the service ``sweep`` op, :meth:`IndexAdvisor.recommend_sweep`), not
     the figure harnesses' anchor grids: every share must be a real number
-    in ``(0, 1]`` and no share may repeat (a duplicate would silently
-    produce repeated frontier points).  Returns the shares as floats in
+    in ``(0, 1]``, no share may repeat (a duplicate would silently
+    produce repeated frontier points), and there may be at most
+    :data:`MAX_SWEEP_POINTS` of them.  Returns the shares as floats in
     the caller's order; raises :class:`~repro.exceptions.ExperimentError`
     otherwise.
     """
@@ -73,6 +79,11 @@ def normalize_budget_shares(
     values = list(shares)
     if not values:
         raise ExperimentError("budget sweep needs at least one share")
+    if len(values) > MAX_SWEEP_POINTS:
+        raise ExperimentError(
+            f"budget sweep has {len(values)} shares; at most "
+            f"{MAX_SWEEP_POINTS} are allowed"
+        )
     normalized: list[float] = []
     seen: set[float] = set()
     for share in values:
@@ -131,7 +142,8 @@ def parse_budget_sweep(text: str) -> tuple[float, ...]:
 
     ``"0.1:1.0:10"`` means 10 evenly spaced shares from 0.1 to 1.0
     inclusive (:func:`budget_grid`).  The endpoints must satisfy
-    ``0 < low < high <= 1`` and ``steps >= 2``; the result passes
+    ``0 < low < high <= 1`` and ``2 <= steps <= MAX_SWEEP_POINTS``
+    (checked before the grid is built); the result passes
     :func:`normalize_budget_shares`.
     """
     parts = text.split(":")
@@ -150,6 +162,11 @@ def parse_budget_sweep(text: str) -> tuple[float, ...]:
     if steps < 2:
         raise ExperimentError(
             f"budget sweep needs >= 2 steps, got {steps}"
+        )
+    if steps > MAX_SWEEP_POINTS:
+        raise ExperimentError(
+            f"budget sweep asks for {steps} steps; at most "
+            f"{MAX_SWEEP_POINTS} are allowed"
         )
     if not 0 < low < high <= 1:
         raise ExperimentError(

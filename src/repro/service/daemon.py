@@ -351,10 +351,10 @@ class AdvisorService:
     whatif_cache_entries:
         Optional LRU bound on the long-lived what-if cost cache
         (``None`` = unbounded); evictions surface as the
-        ``whatif.evictions`` gauge.  It bounds that cache only: the
-        maintenance entries and the resilient layer's stale answers
-        are dropped with their queries on ``update``/``evict``, not by
-        this bound.
+        ``whatif.evictions`` gauge.  The facade keeps no maintenance
+        store (maintenance is priced from the schema).  The bound does
+        not cover the resilient layer's stale answers: they are dropped
+        with their queries on ``update``/``evict``.
     clock:
         Monotonic time source (injectable for deterministic tests);
         feeds deadlines, the queue/wall timings, and snapshot age.

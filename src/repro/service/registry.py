@@ -144,7 +144,7 @@ class WorkloadRegistry:
     ) -> tuple[WorkloadRegistration, int]:
         """Replace a registered workload in place.
 
-        Returns the bumped registration and the number of shared-cache
+        Returns the bumped registration and the number of what-if cost
         entries invalidated.  Only entries of *dropped or changed*
         queries are cleared — queries carried over verbatim keep their
         cached costs, which is what makes small workload drift cheap.

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.core.evaluation import EvaluationConfig
 from repro.core.extend import ExtendAlgorithm
 from repro.core.sweep import (
+    MAX_SWEEP_POINTS,
     SweepResult,
     SweepStatistics,
     normalize_budget_shares,
@@ -104,6 +105,14 @@ class TestNormalizeBudgetShares:
         with pytest.raises(ExperimentError, match="duplicate"):
             normalize_budget_shares((0.3, 0.1, 0.3))
 
+    def test_caps_the_number_of_shares(self):
+        shares = [step / 2_000 for step in range(1, MAX_SWEEP_POINTS + 2)]
+        assert len(normalize_budget_shares(shares[:-1])) == (
+            MAX_SWEEP_POINTS
+        )
+        with pytest.raises(ExperimentError, match="at most"):
+            normalize_budget_shares(shares)
+
 
 class TestParseBudgetSweep:
     def test_linear_grid(self):
@@ -127,6 +136,16 @@ class TestParseBudgetSweep:
     def test_rejects_malformed_specs(self, spec):
         with pytest.raises(ExperimentError):
             parse_budget_sweep(spec)
+
+    def test_caps_the_number_of_steps(self):
+        assert len(parse_budget_sweep("0.1:0.2:1000")) == 1_000 == (
+            MAX_SWEEP_POINTS
+        )
+        with pytest.raises(ExperimentError, match="at most"):
+            parse_budget_sweep("0.1:0.2:1001")
+        # Rejected before the grid is built, however large the count.
+        with pytest.raises(ExperimentError, match="at most"):
+            parse_budget_sweep("0.1:0.2:" + "9" * 30)
 
     def test_grid_ending_at_one_parses(self):
         # low + width * (steps - 1) is 1.0000000000000002 here.

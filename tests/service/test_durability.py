@@ -226,6 +226,65 @@ class TestCorruptionHandling:
             assert report.reason == "version-skew"
             assert victim.workloads() == ()
 
+    def test_version_three_snapshot_with_maintenance_restores_warm(
+        self, small_workload, snapshot_dir
+    ):
+        """A version-3 snapshot that still carries the ``maintenance``
+        section older writers put beside ``cost`` restores warm: the
+        section is not read, and the first recommend makes no backend
+        call and returns the same total cost."""
+        import dataclasses
+        import hashlib
+
+        from repro.cost.model import CostModel
+        from repro.workload.query import QueryKind, Workload
+
+        workload = Workload(small_workload.schema, [
+            dataclasses.replace(query, kind=QueryKind.UPDATE)
+            if query.query_id % 3 == 0 else query
+            for query in small_workload
+        ])
+        request = RecommendRequest(workload="w", budget_share=0.3)
+        with AdvisorService(
+            workload.schema, snapshot_dir=snapshot_dir
+        ) as seeder:
+            seeder.register_workload("w", workload)
+            cold = seeder.recommend(request)
+        model = CostModel(workload.schema)
+        maintenance = sorted(
+            (
+                [position, list(index.attributes),
+                 model.maintenance_cost(query, index)]
+                for position, query in enumerate(workload)
+                if not query.is_select
+                for index in cold.result.configuration
+                if index.table_name == query.table_name
+            ),
+            key=lambda row: (row[0], repr(row[1])),
+        )
+        assert maintenance
+        path = durability.snapshot_path(snapshot_dir)
+        envelope = json.loads(path.read_text())
+        [entry] = envelope["payload"]["workloads"]
+        entry["whatif"]["maintenance"] = maintenance
+        body = json.dumps(
+            envelope["payload"], sort_keys=True, separators=(",", ":")
+        )
+        envelope["checksum"] = hashlib.sha256(
+            body.encode("utf-8")
+        ).hexdigest()
+        path.write_text(json.dumps(envelope))
+        with AdvisorService(
+            workload.schema, snapshot_dir=snapshot_dir
+        ) as restarted:
+            report = restarted.restore_report
+            assert report is not None and report.restored
+            assert report.whatif_entries == len(entry["whatif"]["cost"])
+            warm = restarted.recommend(request)
+        assert warm.warm
+        assert warm.gauges["whatif.calls"] == 0
+        assert repr(warm.result.total_cost) == repr(cold.result.total_cost)
+
     def test_version_skew_cold_starts(
         self, small_workload, snapshot_dir
     ):

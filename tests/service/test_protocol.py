@@ -539,3 +539,29 @@ class TestHostileInput:
                 continue
             assert next(streams) or events == 0, record
             events = 0
+
+    def test_oversized_sweep_is_refused_and_the_daemon_lives(self):
+        """A 30-digit step count is an ``invalid_request``, refused
+        before any grid is built, and the next line is answered."""
+        workload = generate_workload(GeneratorConfig(
+            tables=2, attributes_per_table=6, queries_per_table=4, seed=7,
+        ))
+        service = AdvisorService(workload.schema, watchdog_interval_s=0)
+        service.register_workload("w", workload)
+        lines = [
+            json.dumps({
+                "id": "huge", "op": "sweep", "workload": "w",
+                "budget_sweep": "0.1:0.2:" + "9" * 30,
+            }),
+            '{"id": "after", "op": "stats"}',
+        ]
+        output = io.StringIO()
+        serve_loop(service, io.StringIO("\n".join(lines) + "\n"), output)
+        huge, after = [
+            json.loads(line, parse_constant=_strict)
+            for line in output.getvalue().split("\n")
+            if line
+        ]
+        assert huge["id"] == "huge" and not huge["ok"]
+        assert huge["code"] == "invalid_request"
+        assert after["id"] == "after" and after["ok"]
